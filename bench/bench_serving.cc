@@ -29,8 +29,8 @@
 // from the parent, one request per connection. The fork matters: at 10k
 // sockets each side needs its own file-descriptor budget. Two phases run:
 //
-//   cold: plan cache disabled (blitzd --no-cache) — every request pays the
-//         full optimizer;
+//   cold: plan cache disabled (blitzd --cache-entries 0) — every request
+//         pays the full optimizer;
 //   warm: plan cache enabled and prewarmed with the whole body pool — every
 //         request is answered from the cache, inline on the event loop.
 //
@@ -126,7 +126,7 @@ void ClientLoop(BlitzServer* server, const std::vector<std::string>& pool,
                 SampleStats* stats) {
   auto [client_end, server_end] = CreateDuplexPipe();
   std::thread serve_thread([server, stream = server_end.get()] {
-    (void)server->Serve(stream);
+    (void)ServeStream(server, stream);
     stream->Close();
   });
 
@@ -345,8 +345,8 @@ void MuxClientThread(const std::vector<std::string>& pool, int first,
   for (int i = 0; i < count; ++i) {
     const int conn = (*fds)[static_cast<std::size_t>(first + i)];
     FdStream stream(conn, conn, /*own_fds=*/false);
-    FrameReader reader(&stream, WireLimits{});
-    Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+    ResponseFrameReader reader(&stream, WireLimits{});
+    Result<std::optional<ResponseFrame>> response = reader.Read();
     const auto now = std::chrono::steady_clock::now();
     if (!response.ok() || !response->has_value()) {
       ++stats->errors;
@@ -467,8 +467,8 @@ Result<MuxPhaseStats> RunMuxPhase(const MuxPhaseConfig& config,
   for (int i = 0; i < config.conns; ++i) {
     const int conn = fds[static_cast<std::size_t>(i)];
     FdStream stream(conn, conn, /*own_fds=*/false);
-    FrameReader reader(&stream, WireLimits{});
-    Result<std::optional<ResponseFrame>> eof = reader.ReadResponse();
+    ResponseFrameReader reader(&stream, WireLimits{});
+    Result<std::optional<ResponseFrame>> eof = reader.Read();
     if (eof.ok() && eof->has_value()) ++total.violations;
     ::close(conn);
   }

@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "api/optimize_query.h"
+#include "card/fanout.h"
 #include "card/histogram.h"
 #include "card/no_estimate.h"
 #include "common/strings.h"
@@ -374,8 +375,8 @@ int main(int argc, char** argv) {
     base_cards[i] = spec->catalog.cardinality(i);
   }
   std::printf("estimated result cardinality: %g\n",
-              spec->graph.JoinCardinality(spec->catalog.AllRelations(),
-                                          base_cards));
+              FanoutJoinCardinality(spec->graph, spec->catalog.AllRelations(),
+                                    base_cards));
   if (counts && optimized->report.has_value()) {
     std::printf("operation counts: %s\n",
                 optimized->report->counters.ToString().c_str());
@@ -390,8 +391,8 @@ int main(int argc, char** argv) {
     constexpr double kMaxRows = 5e6;
     double biggest = 0;
     std::function<void(const PlanNode&)> scan = [&](const PlanNode& node) {
-      biggest = std::max(biggest,
-                         spec->graph.JoinCardinality(node.set, base_cards));
+      biggest = std::max(
+          biggest, FanoutJoinCardinality(spec->graph, node.set, base_cards));
       if (!node.is_leaf()) {
         scan(*node.left);
         scan(*node.right);

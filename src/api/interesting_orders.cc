@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "card/fanout.h"
 #include "common/check.h"
 #include "common/strings.h"
 #include "core/dp_table.h"
@@ -139,7 +140,7 @@ Result<InterestingOrdersResult> OptimizeWithInterestingOrders(
 
   std::vector<double> base_cards(n);
   for (int i = 0; i < n; ++i) base_cards[i] = catalog.cardinality(i);
-  ComputeAllCardinalities(graph, base_cards, &dp.cards);
+  FanoutComputeAllCardinalities(graph, base_cards, &dp.cards);
 
   // cost_any[S]: min over orders, plus the order achieving it.
   std::vector<float> cost_any(dp.table_size, kInf);

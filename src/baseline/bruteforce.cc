@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "card/fanout.h"
 #include "common/check.h"
 #include "core/subset_enum.h"
 
@@ -32,15 +33,15 @@ Result<BruteForceResult> OptimizeBruteForce(const Catalog& catalog,
     if ((s & (s - 1)) == 0) return 0.0;
     if (memo_cost[s] != kUnset) return memo_cost[s];
     const double out_card =
-        graph.JoinCardinality(RelSet::FromWord(s), base_cards);
+        FanoutJoinCardinality(graph, RelSet::FromWord(s), base_cards);
     double best = std::numeric_limits<double>::infinity();
     std::uint64_t best_split = 0;
     for (std::uint64_t lhs = s & (~s + 1); lhs != s; lhs = s & (lhs - s)) {
       const std::uint64_t rhs = s ^ lhs;
       const double lhs_card =
-          graph.JoinCardinality(RelSet::FromWord(lhs), base_cards);
+          FanoutJoinCardinality(graph, RelSet::FromWord(lhs), base_cards);
       const double rhs_card =
-          graph.JoinCardinality(RelSet::FromWord(rhs), base_cards);
+          FanoutJoinCardinality(graph, RelSet::FromWord(rhs), base_cards);
       const double candidate =
           solve(lhs) + solve(rhs) +
           EvalJoinCost(cost_model, out_card, lhs_card, rhs_card);

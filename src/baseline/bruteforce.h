@@ -19,7 +19,7 @@ struct BruteForceResult {
 
 /// Reference optimizer for tests: memoized recursion over every split of
 /// every subset, with cardinalities computed directly from the
-/// induced-subgraph definition (JoinGraph::JoinCardinality) rather than the
+/// induced-subgraph definition (FanoutJoinCardinality) rather than the
 /// Pi_fan recurrences, and costs accumulated in double precision. Shares no
 /// arithmetic shortcuts with the blitzsplit core, which is the point.
 /// Limited to n <= 16 relations.

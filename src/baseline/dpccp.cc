@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "card/fanout.h"
 #include "common/check.h"
 
 namespace blitz {
@@ -137,7 +138,7 @@ Result<DpCcpResult> OptimizeDpCcp(const Catalog& catalog,
   search.n = n;
   std::vector<double> base_cards(n);
   for (int i = 0; i < n; ++i) base_cards[i] = catalog.cardinality(i);
-  ComputeAllCardinalities(graph, base_cards, &search.cards);
+  FanoutComputeAllCardinalities(graph, base_cards, &search.cards);
   search.cost.assign(table_size, kInf);
   search.best_lhs.assign(table_size, 0);
   for (int i = 0; i < n; ++i) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "card/fanout.h"
 #include "common/check.h"
 
 namespace blitz {
@@ -22,7 +23,7 @@ Result<DpSizeResult> OptimizeDpSize(const Catalog& catalog,
   std::vector<double> base_cards(n);
   for (int i = 0; i < n; ++i) base_cards[i] = catalog.cardinality(i);
   std::vector<double> cards;
-  ComputeAllCardinalities(graph, base_cards, &cards);
+  FanoutComputeAllCardinalities(graph, base_cards, &cards);
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> cost(table_size, kInf);

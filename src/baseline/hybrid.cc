@@ -8,6 +8,7 @@
 
 #include "baseline/greedy.h"
 #include "baseline/local_search.h"
+#include "card/fanout.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/optimizer.h"
@@ -252,9 +253,10 @@ Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
       Unit fused;
       fused.plan = ComposePlan(block_plan->root(), &units, block);
       fused.base_set = fused.plan.relations();
-      fused.card = est != nullptr
-                       ? est->EstimateCardinality(fused.base_set)
-                       : graph.JoinCardinality(fused.base_set, base_cards);
+      fused.card =
+          est != nullptr
+              ? est->EstimateCardinality(fused.base_set)
+              : FanoutJoinCardinality(graph, fused.base_set, base_cards);
 
       // Remove the block's units (descending index order keeps positions
       // valid), then append the fused unit.

@@ -55,7 +55,7 @@ struct HybridOptions {
   SimdLevel simd = SimdLevel::kAuto;
 
   /// Cardinality estimator (card/estimator.h). Null or exact keeps the
-  /// Section 5.1 unit statistics (JoinCardinality / PiSpan) verbatim. A
+  /// Section 5.1 unit statistics (FanoutJoinCardinality / PiSpan) verbatim. A
   /// non-exact estimator supplies every unit cardinality, unit-pair
   /// selectivity, and candidate-plan cost the search consumes — the block
   /// DPs then run exactly over those *estimated* unit statistics, and

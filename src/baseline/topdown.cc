@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "card/fanout.h"
 #include "common/check.h"
 
 namespace blitz {
@@ -99,7 +100,7 @@ Result<TopDownResult> OptimizeTopDown(const Catalog& catalog,
   search.result = &result;
   std::vector<double> base_cards(n);
   for (int i = 0; i < n; ++i) base_cards[i] = catalog.cardinality(i);
-  ComputeAllCardinalities(graph, base_cards, &search.cards);
+  FanoutComputeAllCardinalities(graph, base_cards, &search.cards);
 
   const std::uint64_t full = table_size - 1;
   result.cost = search.Solve(full, kInf);

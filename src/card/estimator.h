@@ -36,7 +36,7 @@ const char* EstimatorKindNames();
 /// The seam every consumer of per-subset cardinalities resolves through:
 /// the DP drivers, the hybrid and greedy tiers, the plan evaluator, and the
 /// fuzzer oracles all take a `const CardinalityEstimator*` and never touch
-/// JoinGraph::JoinCardinality directly. Implementations are immutable after
+/// FanoutJoinCardinality (card/fanout.h) directly. Implementations are immutable after
 /// construction and safe to share across threads. They do not own the join
 /// graph they were built over; the graph must outlive the estimator.
 ///

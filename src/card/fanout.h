@@ -12,9 +12,9 @@
 namespace blitz {
 
 /// The paper's Section 5.1 cardinality derivation, factored out of
-/// JoinGraph so that every consumer — the JoinGraph convenience wrappers,
-/// PaperFanoutEstimator, and the fused recurrence cross-checks — shares a
-/// single definition. Header-only on purpose: blitz_query cannot link
+/// JoinGraph so that every consumer — the baseline enumerators, the plan
+/// evaluator, PaperFanoutEstimator, and the fused recurrence cross-checks —
+/// shares a single definition. Header-only on purpose: blitz_query cannot link
 /// blitz_card (blitz_card sits above it), but both can include this file.
 
 /// Exact join cardinality of the relations in S: the product of base

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "card/fanout.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -107,7 +108,7 @@ float CostRecFloatEst(const PlanNode& node,
 
 double EvaluateCardinality(const PlanNode& node, const Catalog& catalog,
                            const JoinGraph& graph) {
-  return graph.JoinCardinality(node.set, BaseCards(catalog));
+  return FanoutJoinCardinality(graph, node.set, BaseCards(catalog));
 }
 
 double EvaluateCost(const PlanNode& node, const Catalog& catalog,

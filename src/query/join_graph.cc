@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "card/fanout.h"
 #include "common/check.h"
 #include "common/strings.h"
 
@@ -67,11 +66,6 @@ double JoinGraph::PiFan(RelSet s) const {
   return PiSpan(u, s - u);
 }
 
-double JoinGraph::JoinCardinality(
-    RelSet s, const std::vector<double>& base_cards) const {
-  return FanoutJoinCardinality(*this, s, base_cards);
-}
-
 bool JoinGraph::IsConnected(RelSet s) const {
   if (s.empty()) return false;
   RelSet reached = s.LowestSingleton();
@@ -102,12 +96,6 @@ std::string JoinGraph::ToString() const {
   }
   if (out.empty()) out = "(no predicates)";
   return out;
-}
-
-void ComputeAllCardinalities(const JoinGraph& graph,
-                             const std::vector<double>& base_cards,
-                             std::vector<double>* cards) {
-  FanoutComputeAllCardinalities(graph, base_cards, cards);
 }
 
 }  // namespace blitz

@@ -66,16 +66,6 @@ class JoinGraph {
   /// Pi_fan(S) per Equation (9): Pi_span({min S}, S - {min S}).
   double PiFan(RelSet s) const;
 
-  /// Exact join cardinality of the relations in S per Section 5.1: the
-  /// product of base cardinalities in S and of the selectivities of all
-  /// induced predicates. `base_cards[i]` supplies |R_i|.
-  ///
-  /// Deprecated: thin wrapper over FanoutJoinCardinality (card/fanout.h),
-  /// which PaperFanoutEstimator also wraps — there is exactly one derivation
-  /// path. New code should resolve cardinalities through a
-  /// CardinalityEstimator (card/estimator.h) instead of calling this.
-  double JoinCardinality(RelSet s, const std::vector<double>& base_cards) const;
-
   /// True if the subgraph induced by S is connected (singletons are
   /// connected; the empty set is not). Used by the no-Cartesian-product
   /// baseline enumerators.
@@ -95,19 +85,6 @@ class JoinGraph {
   std::vector<double> selectivity_;  ///< n*n matrix; 1.0 where no edge.
   std::vector<RelSet> neighbors_;    ///< adjacency bit-masks.
 };
-
-/// Computes card(S) for every nonempty subset S of {R0..R{n-1}} using the
-/// paper's recurrences (Equations 10 and 11), filling `cards` (indexed by
-/// set word; size 2^n). This standalone version is shared by the baseline
-/// optimizers and used to cross-check the fused computation inside
-/// BlitzSplit. Runs in O(2^n).
-///
-/// Deprecated: thin wrapper over FanoutComputeAllCardinalities
-/// (card/fanout.h); prefer CardinalityEstimator::EstimateAll through a
-/// PaperFanoutEstimator so non-exact estimators can be swapped in.
-void ComputeAllCardinalities(const JoinGraph& graph,
-                             const std::vector<double>& base_cards,
-                             std::vector<double>* cards);
 
 }  // namespace blitz
 

@@ -77,7 +77,7 @@ Result<std::uint64_t> BlitzClient::Send(const std::string& bjq,
 }
 
 Result<std::optional<ResponseFrame>> BlitzClient::Receive() {
-  return reader_.ReadResponse();
+  return reader_.Read();
 }
 
 void BlitzClient::CloseSend() { stream_->CloseWrite(); }

@@ -93,7 +93,7 @@ class BlitzClient {
 
   ByteStream* stream_;
   Options options_;
-  FrameReader reader_;
+  ResponseFrameReader reader_;
   Rng rng_;
   std::uint64_t next_id_ = 1;
 };

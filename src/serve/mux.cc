@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -40,21 +41,18 @@ constexpr std::uint64_t kWakeCookie = 1;
 constexpr std::uint64_t kEventCookie = 2;
 constexpr std::uint64_t kFirstConnId = 3;
 
-constexpr double kShedRetryAfterMs = 50;
-
 class Multiplexer;
 
-/// One multiplexed connection. The mux thread owns the read side (fd,
-/// assembler, submitted/read_done bookkeeping); the outbox is shared with
-/// worker threads through `mu` (SendResponse enqueues from any thread).
-/// Identified by a monotonically increasing id — never by fd, which the
-/// kernel reuses the moment a dead connection closes.
+/// One multiplexed connection, and its own ResponseSink. The mux thread
+/// owns the read side (fd, assembler, submitted/read_done bookkeeping); the
+/// outbox is shared with worker threads through `mu` (SendResponse enqueues
+/// from any thread). Identified by a monotonically increasing id — never by
+/// fd, which the kernel reuses the moment a dead connection closes.
 struct MuxConn final : ResponseSink {
   Multiplexer* mux = nullptr;
   std::uint64_t id = 0;
   int fd = -1;
   RequestFrameAssembler assembler;
-  std::shared_ptr<ServeConnection> server_conn;
 
   std::mutex mu;
   std::deque<std::string> outbox;  ///< Encoded frames awaiting the socket.
@@ -102,8 +100,8 @@ class Multiplexer {
   bool Flush(const std::shared_ptr<MuxConn>& conn);
   void UpdateInterest(const std::shared_ptr<MuxConn>& conn);
   /// Immediately severs the transport: pending outbox bytes are dropped,
-  /// future responses are dropped. The MuxConn object stays alive (via the
-  /// server's ServeConnection sink reference) until its last job answers.
+  /// future responses are dropped. The MuxConn object stays alive (queued
+  /// jobs hold it as their sink) until its last job answers.
   void HardClose(const std::shared_ptr<MuxConn>& conn);
   /// Closes the connection iff it owes nothing: read side finished, every
   /// submitted request answered, outbox flushed.
@@ -160,25 +158,11 @@ void Multiplexer::AcceptReady() {
     conn->mux = this;
     conn->id = next_id_++;
     conn->fd = fd;
-    conn->server_conn = server_->OpenConnection(conn);
-
-    if (std::optional<FaultSpec> fault = FaultHit(kFaultServeAccept)) {
-      // Mirror Serve(): answer once with id 0, then end the connection.
-      const Status error =
-          fault->kind == FaultKind::kFailStatus
-              ? fault->status
-              : Status::Unavailable("injected accept failure");
-      conn->read_done = true;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->outbox.push_back(EncodeResponseFrame(ResponseFrame{
-            0, error.code(), kShedRetryAfterMs, error.message()}));
-      }
-      Count("serve.accept_rejects");
-    }
+    // A refused connection holds its one id-0 answer; flush it and close.
+    conn->read_done = !server_->AcceptConnection(*conn).ok();
 
     epoll_event ev{};
-    ev.events = conn->read_done ? 0 : EPOLLIN;
+    ev.events = conn->read_done ? 0u : static_cast<std::uint32_t>(EPOLLIN);
     ev.data.u64 = conn->id;
     if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       close(fd);
@@ -202,12 +186,10 @@ void Multiplexer::ReadReady(const std::shared_ptr<MuxConn>& conn) {
       return;
     }
     if (n == 0) {
-      if (conn->assembler.mid_frame()) {
-        // The peer died inside a frame — the blocking reader's
-        // "stream ended mid-header/mid-body" connection-level error.
-        server_->SubmitProtocolError(
-            conn->server_conn,
-            Status::InvalidArgument("stream ended mid-frame"));
+      const Status eof = conn->assembler.AtEndOfStream();
+      if (!eof.ok()) {
+        // The peer died inside a frame: a connection-level error.
+        server_->SubmitProtocolError(*conn, eof);
         ++conn->submitted;
       }
       conn->read_done = true;
@@ -220,12 +202,11 @@ void Multiplexer::ReadReady(const std::shared_ptr<MuxConn>& conn) {
       ++conn->submitted;
       // May answer synchronously (shed / statz / cache hit) via
       // SendResponse, which lands in this connection's outbox.
-      server_->SubmitRequest(conn->server_conn, std::move(frame));
+      server_->SubmitRequest(conn, std::move(frame));
     }
     if (!fed.ok()) {
-      // Frame desync: answer once with id 0 and stop reading, exactly like
-      // the blocking Serve() path.
-      server_->SubmitProtocolError(conn->server_conn, fed);
+      // Frame desync: answer once with id 0 and stop reading.
+      server_->SubmitProtocolError(*conn, fed);
       ++conn->submitted;
       conn->read_done = true;
       break;
@@ -478,7 +459,59 @@ Status Multiplexer::Run() {
   return result;
 }
 
+/// ServeStream's sink: writes each response straight to the stream
+/// (serialized — workers answer concurrently) and counts them, so the pump
+/// knows when its connection is square.
+class StreamSink final : public ResponseSink {
+ public:
+  explicit StreamSink(ByteStream* stream) : stream_(stream) {}
+
+  void SendResponse(const ResponseFrame& response) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!stream_->Write(EncodeResponseFrame(response)).ok()) {
+      Count("serve.write_errors");
+    }
+    ++responses_;
+    answered_cv_.notify_all();
+  }
+
+  /// Blocks until `submitted` responses have been sent. After that the
+  /// server never touches the stream again, so the caller may destroy it.
+  void WaitForResponses(std::uint64_t submitted) {
+    std::unique_lock<std::mutex> lock(mu_);
+    answered_cv_.wait(lock, [&] { return responses_ >= submitted; });
+  }
+
+ private:
+  ByteStream* const stream_;
+  std::mutex mu_;
+  std::condition_variable answered_cv_;
+  std::uint64_t responses_ = 0;
+};
+
 }  // namespace
+
+Status ServeStream(BlitzServer* server, ByteStream* stream) {
+  const auto sink = std::make_shared<StreamSink>(stream);
+  BLITZ_RETURN_IF_ERROR(server->AcceptConnection(*sink));
+  RequestFrameReader reader(stream, server->options().wire);
+  std::uint64_t submitted = 0;
+  Status result = Status::OK();
+  for (;;) {
+    Result<std::optional<RequestFrame>> frame = reader.Read();
+    if (!frame.ok()) {
+      result = frame.status();
+      server->SubmitProtocolError(*sink, result);
+      ++submitted;
+      break;
+    }
+    if (!frame->has_value()) break;  // Clean EOF at a frame boundary.
+    ++submitted;
+    server->SubmitRequest(sink, std::move(**frame));
+  }
+  sink->WaitForResponses(submitted);
+  return result;
+}
 
 Status MuxOptions::Validate() const {
   if (listen_fd < 0) {

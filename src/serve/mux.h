@@ -3,6 +3,7 @@
 
 #include "common/status.h"
 #include "serve/server.h"
+#include "serve/stream.h"
 
 namespace blitz {
 
@@ -29,20 +30,31 @@ struct MuxOptions {
   Status Validate() const;
 };
 
-/// Runs an epoll-based connection multiplexer over `server`'s frame-level
-/// API: one event-loop thread owns every socket — nonblocking accept,
-/// per-connection incremental frame reassembly (RequestFrameAssembler),
-/// and write backpressure via a per-connection outbox with EPOLLOUT
-/// arming — so concurrency is bounded by file descriptors, not reader
-/// threads. This is what pushes blitzd past the thread-per-connection
-/// ceiling to 10k sockets.
-///
-/// Per connection, the blocking Serve(stream) semantics are preserved
-/// exactly: a malformed or over-limit frame is answered once with id 0 and
-/// ends the connection after pending responses flush; EOF mid-frame is a
-/// protocol error, EOF at a frame boundary is clean; every submitted
-/// request is answered exactly once (the server's drain guarantee — the
-/// multiplexer only transports frames).
+/// The two transports over BlitzServer's connection API (AcceptConnection,
+/// SubmitRequest, SubmitProtocolError, with a ResponseSink per
+/// connection). Both share the per-connection contract: a malformed or
+/// over-limit frame is answered once with id 0 and ends the connection
+/// after pending responses flush; EOF mid-frame is a protocol error, EOF
+/// at a frame boundary is clean; every submitted request is answered
+/// exactly once (the server's guarantee — transports only move frames).
+/// A connection is square once its sink has sent as many responses as the
+/// transport submitted.
+
+/// Serves one blocking ByteStream connection on the calling thread: reads
+/// frames (FrameReader), submits each, writes every response through a
+/// counting sink, and returns once the stream ended and every submitted
+/// frame has been answered. Returns the accept refusal or protocol error
+/// that ended the connection, or OK on clean EOF. This pump exists beside
+/// the multiplexer because epoll rejects regular files:
+/// `blitzd --stdio < frames.bin` needs a blocking reader.
+Status ServeStream(BlitzServer* server, ByteStream* stream);
+
+/// Runs an epoll-based connection multiplexer: one event-loop thread owns
+/// every socket — nonblocking accept, per-connection incremental frame
+/// reassembly (RequestFrameAssembler), and write backpressure via a
+/// per-connection outbox with EPOLLOUT arming — so concurrency is bounded
+/// by file descriptors, not reader threads. This is what pushes blitzd
+/// past the thread-per-connection ceiling to 10k sockets.
 ///
 /// Blocks until drained (wake_fd readable, or a kFailStatus
 /// serve.epoll.wait fault — transient kinds skip one cycle). Returns OK on

@@ -76,66 +76,27 @@ BlitzServer::BlitzServer(ServerOptions options)
 
 BlitzServer::~BlitzServer() { Shutdown(); }
 
-Status BlitzServer::Serve(ByteStream* stream) {
-  if (std::optional<FaultSpec> fault = FaultHit(kFaultServeAccept)) {
-    // Connection-level failure: answer once (id 0 — no frame was read) so
-    // the client sees a status instead of a silent close, then refuse.
-    const Status error = fault->kind == FaultKind::kFailStatus
-                             ? fault->status
-                             : Status::Unavailable("injected accept failure");
-    ServeConnection conn;
-    conn.stream = stream;
-    Respond(&conn, ResponseFrame{0, error.code(), kShedRetryAfterMs,
-                                 error.message()});
-    Count("serve.accept_rejects");
-    return error;
-  }
-
-  ServeConnection conn;
-  conn.stream = stream;
-  FrameReader reader(stream, options_.wire);
-  Status result = Status::OK();
-  for (;;) {
-    Result<std::optional<RequestFrame>> frame = reader.ReadRequest();
-    if (!frame.ok()) {
-      // The stream is no longer frame-aligned; nothing after this point
-      // can be parsed, so answer with id 0 and end the connection. The
-      // process — and every other connection — is unaffected.
-      result = frame.status();
-      Respond(&conn,
-              ResponseFrame{0, result.code(), 0, result.message()});
-      Count("serve.protocol_errors");
-      break;
-    }
-    if (!frame->has_value()) break;  // Clean EOF at a frame boundary.
-    HandleRequest(&conn, nullptr, std::move(**frame));
-  }
-
-  // Responses for admitted requests are written by workers; hold the
-  // connection open until the last one lands.
-  {
-    std::unique_lock<std::mutex> lock(conn.mu);
-    conn.idle_cv.wait(lock, [&conn] { return conn.outstanding == 0; });
-  }
-  return result;
+Status BlitzServer::AcceptConnection(ResponseSink& sink) {
+  std::optional<FaultSpec> fault = FaultHit(kFaultServeAccept);
+  if (!fault.has_value()) return Status::OK();
+  // Connection-level failure: answer once (id 0 — no frame was read) so
+  // the client sees a status instead of a silent close, then refuse.
+  const Status error = fault->kind == FaultKind::kFailStatus
+                           ? fault->status
+                           : Status::Unavailable("injected accept failure");
+  Count("serve.accept_rejects");
+  Respond(sink,
+          ResponseFrame{0, error.code(), kShedRetryAfterMs, error.message()});
+  return error;
 }
 
-std::shared_ptr<ServeConnection> BlitzServer::OpenConnection(
-    std::shared_ptr<ResponseSink> sink) {
-  auto conn = std::make_shared<ServeConnection>();
-  conn->sink = std::move(sink);
-  return conn;
-}
-
-void BlitzServer::SubmitRequest(const std::shared_ptr<ServeConnection>& conn,
-                                RequestFrame frame) {
-  HandleRequest(conn.get(), conn, std::move(frame));
-}
-
-void BlitzServer::SubmitProtocolError(
-    const std::shared_ptr<ServeConnection>& conn, const Status& error) {
-  Respond(conn.get(), ResponseFrame{0, error.code(), 0, error.message()});
+void BlitzServer::SubmitProtocolError(ResponseSink& sink,
+                                      const Status& error) {
+  // The stream is no longer frame-aligned; nothing after this point can be
+  // parsed, so answer with id 0. The process — and every other
+  // connection — is unaffected.
   Count("serve.protocol_errors");
+  Respond(sink, ResponseFrame{0, error.code(), 0, error.message()});
 }
 
 std::string BlitzServer::BuildReplyBody(
@@ -157,24 +118,22 @@ std::string BlitzServer::BuildReplyBody(
   return EncodeReplyBody(reply);
 }
 
-void BlitzServer::HandleRequest(
-    ServeConnection* conn, const std::shared_ptr<ServeConnection>& conn_ref,
-    RequestFrame frame) {
+void BlitzServer::SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
+                                RequestFrame frame) {
   // Introspection is answered before admission and before the draining
   // check — /statz must work while the server sheds everything else.
   if (frame.body == kStatzBody) {
-    Respond(conn,
-            ResponseFrame{frame.id, StatusCode::kOk, 0, StatzBody()});
     Count("serve.statz");
+    Respond(*sink, ResponseFrame{frame.id, StatusCode::kOk, 0, StatzBody()});
     return;
   }
 
   Count("serve.requests");
   const auto shed = [&](const Status& status, double retry_after_ms,
                         std::string_view counter) {
-    Respond(conn, ResponseFrame{frame.id, status.code(), retry_after_ms,
-                                status.message()});
     Count(counter);
+    Respond(*sink, ResponseFrame{frame.id, status.code(), retry_after_ms,
+                                 status.message()});
   };
 
   bool draining;
@@ -199,8 +158,7 @@ void BlitzServer::HandleRequest(
   // Admitted: from here every early exit must Release the tenant slot.
 
   Job job;
-  job.conn = conn;
-  job.conn_ref = conn_ref;
+  job.sink = sink;
   job.id = frame.id;
   job.tenant = frame.tenant;
   job.body = std::move(frame.body);
@@ -233,9 +191,9 @@ void BlitzServer::HandleRequest(
           const std::string body =
               BuildReplyBody(*hit, parsed->catalog, estimator_kind);
           admission_.Release(job.tenant);
-          Respond(conn, ResponseFrame{job.id, StatusCode::kOk, 0, body});
           Count("serve.cache.hit");
           RecordLatencySample(start_time);
+          Respond(*sink, ResponseFrame{job.id, StatusCode::kOk, 0, body});
           return;
         }
         Count("serve.cache.miss");
@@ -276,20 +234,12 @@ void BlitzServer::HandleRequest(
   }
 
   {
-    std::lock_guard<std::mutex> conn_lock(conn->mu);
-    ++conn->outstanding;
-  }
-  {
     std::unique_lock<std::mutex> lock(mu_);
     if (draining_ || stopping_ ||
         queue_.size() >= static_cast<std::size_t>(options_.max_queue)) {
       const bool full = !draining_ && !stopping_;
       lock.unlock();
       admission_.Release(job.tenant);
-      {
-        std::lock_guard<std::mutex> conn_lock(conn->mu);
-        --conn->outstanding;
-      }
       shed(Status::Unavailable(full ? "request queue is full"
                                     : "server is draining"),
            kShedRetryAfterMs,
@@ -414,7 +364,6 @@ void BlitzServer::ProcessJob(Job job) {
 }
 
 void BlitzServer::FinishJob(const Job& job, ResponseFrame response) {
-  Respond(job.conn, response);
   admission_.Release(job.tenant);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -427,15 +376,9 @@ void BlitzServer::FinishJob(const Job& job, ResponseFrame response) {
                             : "serve.responses.error");
   }
   RecordLatencySample(job.enqueue_time);
-  // Last touch of the connection: once Serve's wait observes the decrement
-  // it may return and destroy the ServeConnection, so the notify must
-  // happen under conn->mu — notifying after unlock races a spurious wakeup
-  // in Serve and touches a dead condition_variable.
-  {
-    std::lock_guard<std::mutex> conn_lock(job.conn->mu);
-    --job.conn->outstanding;
-    job.conn->idle_cv.notify_all();
-  }
+  // Answer last: a transport may treat the connection as square the moment
+  // this response lands, so all of the job's bookkeeping is already done.
+  Respond(*job.sink, response);
 }
 
 void BlitzServer::RecordLatencySample(
@@ -452,17 +395,14 @@ void BlitzServer::RecordLatencySample(
   }
 }
 
-void BlitzServer::Respond(ServeConnection* conn,
-                          const ResponseFrame& response) {
-  if (conn->sink != nullptr) {
-    conn->sink->SendResponse(response);
-  } else {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    Status written = conn->stream->Write(EncodeResponseFrame(response));
-    if (!written.ok()) Count("serve.write_errors");
+void BlitzServer::Respond(ResponseSink& sink, const ResponseFrame& response) {
+  {
+    // Counted before delivery, so a client that has its answer (or a
+    // statz snapshot taken after it) already sees it counted.
+    std::lock_guard<std::mutex> lock(mu_);
+    ++requests_answered_;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++requests_answered_;
+  sink.SendResponse(response);
 }
 
 std::string BlitzServer::StatzBody() const {

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/plancache.h"
-#include "serve/stream.h"
 #include "serve/wire.h"
 #include "textio/bjq.h"
 
@@ -64,7 +63,8 @@ struct ServerOptions {
   QueryOptimizerOptions optimizer;
 
   /// Plan-cache bounds (serve/plancache.h). max_entries = 0 turns caching
-  /// off entirely (blitzd --no-cache): every request runs the optimizer.
+  /// off entirely (blitzd --cache-entries 0): every request runs the
+  /// optimizer.
   PlanCache::Options cache;
 
   /// Retention policy of the shared DP-table arena.
@@ -73,39 +73,26 @@ struct ServerOptions {
   Status Validate() const;
 };
 
-/// Transport-side delivery hook for connections the server does not own
-/// (the epoll multiplexer, serve/mux.h). The server calls SendResponse once
-/// per submitted request — from worker threads or from inside
-/// SubmitRequest itself (sheds, /statz, cache hits) — so implementations
-/// must be thread-safe and must tolerate calls after their transport
-/// closed (drop the frame; the request still counts as answered).
+/// A connection's response channel — the only way the server talks to a
+/// connection. Transports (the epoll multiplexer and the blocking
+/// ServeStream pump, serve/mux.h) implement it. The server calls
+/// SendResponse exactly once per SubmitRequest / SubmitProtocolError call
+/// and once per refused AcceptConnection — from worker threads or from
+/// inside the submitting call itself (sheds, /statz, cache hits) — so
+/// implementations must be thread-safe and must tolerate calls after their
+/// transport closed (drop the frame; the request still counts as
+/// answered). Queued work holds the sink by shared_ptr until it answers.
 class ResponseSink {
  public:
   virtual ~ResponseSink() = default;
   virtual void SendResponse(const ResponseFrame& response) = 0;
 };
 
-/// Per-connection shared state. Exactly one of `stream` (the blocking
-/// Serve path: workers serialize writes through write_mu) or `sink` (the
-/// frame-level OpenConnection path) is set. Serve waits for
-/// outstanding == 0 before returning so the stream outlives every queued
-/// response; sink connections rely on the shared_ptr instead.
-struct ServeConnection {
-  ByteStream* stream = nullptr;
-  std::shared_ptr<ResponseSink> sink;
-  std::mutex write_mu;
-  std::mutex mu;
-  std::condition_variable idle_cv;
-  int outstanding = 0;
-};
-
 /// A multi-tenant optimizer server: frames in, plans out.
 ///
-/// Threading model: transports deliver parsed request frames either by
-/// running one blocking Serve(stream) per connection (reader thread each)
-/// or — the multiplexed path — by calling OpenConnection once and
-/// SubmitRequest per frame from a single event-loop thread (serve/mux.h).
-/// Both feed the same HandleRequest: /statz and plan-cache hits are
+/// Threading model: a transport calls AcceptConnection once per new
+/// connection, then SubmitRequest per parsed frame from its reader thread
+/// (the epoll loop, or a ServeStream pump). /statz and plan-cache hits are
 /// answered inline on the submitting thread (no queue, no worker — this is
 /// what makes warm repeat traffic cheap); everything else is admitted into
 /// a bounded queue that num_workers dedicated threads drain, optimize
@@ -115,10 +102,10 @@ struct ServeConnection {
 /// injected faults (serve.* points) all turn into status-coded response
 /// frames on the same connection.
 ///
-/// Lifecycle: Create -> Serve / OpenConnection+SubmitRequest (any number,
-/// concurrently) -> BeginDrain -> Shutdown. Drain stops admitting (new
-/// requests shed with kUnavailable), waits drain_grace_ms for in-flight
-/// work, then cancels the remainder via their per-request
+/// Lifecycle: Create -> AcceptConnection + SubmitRequest (any number of
+/// connections, concurrently) -> BeginDrain -> Shutdown. Drain stops
+/// admitting (new requests shed with kUnavailable), waits drain_grace_ms
+/// for in-flight work, then cancels the remainder via their per-request
 /// CancellationTokens — every admitted request is answered (a plan, an
 /// error, or kCancelled) before Shutdown returns.
 class BlitzServer {
@@ -131,29 +118,21 @@ class BlitzServer {
   BlitzServer(const BlitzServer&) = delete;
   BlitzServer& operator=(const BlitzServer&) = delete;
 
-  /// Serves one connection until its stream reaches end-of-stream or a
-  /// frame-alignment error. Blocks; every response owed to the connection
-  /// is written before this returns. Returns the protocol error that ended
-  /// the connection, or OK on clean EOF.
-  Status Serve(ByteStream* stream);
+  /// Admits a new connection. An armed serve.accept fault refuses it:
+  /// `sink` is answered once with id 0 and the error is returned, and the
+  /// transport must close the connection without reading from it.
+  Status AcceptConnection(ResponseSink& sink);
 
-  /// Frame-level connection API (the epoll multiplexer's entry points).
-  /// Responses flow back through `sink`; the server holds the shared_ptr
-  /// until the last outstanding response for the connection is delivered.
-  std::shared_ptr<ServeConnection> OpenConnection(
-      std::shared_ptr<ResponseSink> sink);
-
-  /// Submits one parsed request frame for `conn`. Exactly one SendResponse
-  /// per call — possibly synchronously (shed, /statz, cache hit), possibly
-  /// later from a worker.
-  void SubmitRequest(const std::shared_ptr<ServeConnection>& conn,
+  /// Submits one parsed request frame. Exactly one SendResponse per call —
+  /// possibly synchronously (shed, /statz, cache hit), possibly later from
+  /// a worker, which holds `sink` until then.
+  void SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
                      RequestFrame frame);
 
-  /// Reports a connection-level framing failure: answers once with id 0
-  /// (mirroring Serve's protocol-error path). The transport should stop
-  /// reading and close once pending responses flush.
-  void SubmitProtocolError(const std::shared_ptr<ServeConnection>& conn,
-                           const Status& error);
+  /// Reports a connection-level framing failure: answers once, with id 0.
+  /// The transport should stop reading and close once pending responses
+  /// flush.
+  void SubmitProtocolError(ResponseSink& sink, const Status& error);
 
   /// Stops admitting new requests (sheds with kUnavailable). Non-blocking;
   /// idempotent. An armed serve.drain fault skips the grace period: the
@@ -193,8 +172,7 @@ class BlitzServer {
   /// `spec`/`fingerprint` carry the reader-thread cache probe's work so a
   /// miss does not parse or canonicalize twice.
   struct Job {
-    ServeConnection* conn = nullptr;
-    std::shared_ptr<ServeConnection> conn_ref;  ///< Sink connections only.
+    std::shared_ptr<ResponseSink> sink;
     std::uint64_t id = 0;
     std::string tenant;
     std::string body;
@@ -208,9 +186,6 @@ class BlitzServer {
 
   explicit BlitzServer(ServerOptions options);
 
-  void HandleRequest(ServeConnection* conn,
-                     const std::shared_ptr<ServeConnection>& conn_ref,
-                     RequestFrame frame);
   /// Builds the OK reply body for an optimization result.
   std::string BuildReplyBody(const OptimizedQuery& result,
                              const Catalog& catalog,
@@ -218,7 +193,7 @@ class BlitzServer {
   void WorkerLoop();
   void ProcessJob(Job job);
   void FinishJob(const Job& job, ResponseFrame response);
-  void Respond(ServeConnection* conn, const ResponseFrame& response);
+  void Respond(ResponseSink& sink, const ResponseFrame& response);
   void RecordLatencySample(std::chrono::steady_clock::time_point start);
   void CancelInFlight();
 

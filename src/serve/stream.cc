@@ -38,20 +38,6 @@ int MsUntil(std::chrono::steady_clock::time_point deadline) {
 
 }  // namespace
 
-Status ReadFull(ByteStream* stream, char* buf, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    Result<std::size_t> n = stream->Read(buf + got, len - got);
-    if (!n.ok()) return n.status();
-    if (*n == 0) {
-      return Status::Unavailable(
-          StrFormat("stream ended %zu bytes short", len - got));
-    }
-    got += *n;
-  }
-  return Status::OK();
-}
-
 FdStream::FdStream(int read_fd, int write_fd, bool own_fds, int wake_fd,
                    double write_timeout_ms)
     : read_fd_(read_fd),

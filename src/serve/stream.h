@@ -10,10 +10,11 @@
 
 namespace blitz {
 
-/// A blocking, bidirectional byte stream — the transport seam of the
-/// serving tier. The server and client speak frames (serve/wire.h) over
-/// this interface; concrete transports are a POSIX fd pair (sockets, pipes,
-/// stdio) and an in-memory duplex for tests and closed-loop benchmarks.
+/// A blocking, bidirectional byte stream: the transport under the client
+/// and the blocking server pump (ServeStream, serve/mux.h), which speak
+/// frames (serve/wire.h) over it. Concrete transports are a POSIX fd pair
+/// (sockets, pipes, stdio) and an in-memory duplex for tests and
+/// closed-loop benchmarks.
 ///
 /// Threading contract: one reader thread and one writer thread may use a
 /// stream concurrently (the serving pattern: a connection's reader loop
@@ -37,9 +38,6 @@ class ByteStream {
   /// Full close; unblocks any reader with end-of-stream.
   virtual void Close() = 0;
 };
-
-/// Reads exactly `len` bytes; kUnavailable on a short stream.
-Status ReadFull(ByteStream* stream, char* buf, std::size_t len);
 
 /// A ByteStream over POSIX file descriptors. `read_fd` and `write_fd` may
 /// be the same (a socket) or distinct (a pipe pair / stdio). When

@@ -198,76 +198,26 @@ Status FrameAssembler<Header>::Feed(std::string_view bytes,
 template class FrameAssembler<RequestFrame>;
 template class FrameAssembler<ResponseFrame>;
 
-Result<std::optional<std::string>> FrameReader::ReadHeaderLine() {
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return std::optional<std::string>(std::move(line));
-    }
-    if (buffer_.size() > limits_.max_header_bytes) {
-      return Status::InvalidArgument(
-          StrFormat("frame header exceeds %zu bytes",
-                    limits_.max_header_bytes));
-    }
-    char chunk[4096];
+template <typename Header>
+Result<std::optional<Header>> FrameReader<Header>::Read() {
+  while (next_ == frames_.size()) {
+    if (!error_.ok()) return error_;
+    frames_.clear();
+    next_ = 0;
+    char chunk[64 * 1024];
     Result<std::size_t> n = stream_->Read(chunk, sizeof(chunk));
     if (!n.ok()) return n.status();
     if (*n == 0) {
-      if (buffer_.empty()) return std::optional<std::string>();  // Clean EOF.
-      return Status::InvalidArgument("stream ended mid-header");
+      BLITZ_RETURN_IF_ERROR(assembler_.AtEndOfStream());
+      return std::optional<Header>();  // Clean EOF at a frame boundary.
     }
-    buffer_.append(chunk, *n);
+    error_ = assembler_.Feed(std::string_view(chunk, *n), &frames_);
   }
+  return std::optional<Header>(std::move(frames_[next_++]));
 }
 
-Status FrameReader::ReadBody(std::uint64_t body_bytes, std::string* out) {
-  if (body_bytes > limits_.max_body_bytes) {
-    return Status::ResourceExhausted(
-        StrFormat("frame body of %llu bytes exceeds the %llu-byte limit",
-                  static_cast<unsigned long long>(body_bytes),
-                  static_cast<unsigned long long>(limits_.max_body_bytes)));
-  }
-  const std::size_t want = static_cast<std::size_t>(body_bytes);
-  if (buffer_.size() >= want) {
-    *out = buffer_.substr(0, want);
-    buffer_.erase(0, want);
-    return Status::OK();
-  }
-  *out = std::move(buffer_);
-  buffer_.clear();
-  const std::size_t have = out->size();
-  out->resize(want);
-  Status read = ReadFull(stream_, out->data() + have, want - have);
-  if (!read.ok()) {
-    return Status::InvalidArgument("stream ended mid-body: " +
-                                   read.message());
-  }
-  return Status::OK();
-}
-
-Result<std::optional<RequestFrame>> FrameReader::ReadRequest() {
-  Result<std::optional<std::string>> line = ReadHeaderLine();
-  if (!line.ok()) return line.status();
-  if (!line->has_value()) return std::optional<RequestFrame>();
-  std::uint64_t body_bytes = 0;
-  Result<RequestFrame> frame = ParseRequestHeader(**line, &body_bytes);
-  if (!frame.ok()) return frame.status();
-  BLITZ_RETURN_IF_ERROR(ReadBody(body_bytes, &frame->body));
-  return std::optional<RequestFrame>(std::move(*frame));
-}
-
-Result<std::optional<ResponseFrame>> FrameReader::ReadResponse() {
-  Result<std::optional<std::string>> line = ReadHeaderLine();
-  if (!line.ok()) return line.status();
-  if (!line->has_value()) return std::optional<ResponseFrame>();
-  std::uint64_t body_bytes = 0;
-  Result<ResponseFrame> frame = ParseResponseHeader(**line, &body_bytes);
-  if (!frame.ok()) return frame.status();
-  BLITZ_RETURN_IF_ERROR(ReadBody(body_bytes, &frame->body));
-  return std::optional<ResponseFrame>(std::move(*frame));
-}
+template class FrameReader<RequestFrame>;
+template class FrameReader<ResponseFrame>;
 
 std::string EncodeReplyBody(const ServeReply& reply) {
   std::string out;

@@ -62,7 +62,7 @@ namespace blitz {
 /// BlitzServer::StatzBody). Readers ignore unknown keys.
 ///
 /// Malformed or over-limit headers are a *connection*-level failure
-/// (kInvalidArgument / kResourceExhausted from ReadRequestFrame): the
+/// (kInvalidArgument / kResourceExhausted from the frame reader): the
 /// stream can no longer be trusted to be frame-aligned, so the server
 /// answers once with id 0 and closes. Body-level problems (bad .bjq) are
 /// request-level and answered normally.
@@ -105,8 +105,7 @@ std::string EncodeResponseFrame(const ResponseFrame& frame);
 
 /// Parses one request header line (everything before the '\n', magic
 /// included) into the frame's header fields plus the body byte count the
-/// sender declared. Shared by the blocking FrameReader and the epoll
-/// multiplexer's incremental assembler so both enforce identical framing.
+/// sender declared.
 Result<RequestFrame> ParseRequestHeader(std::string_view line,
                                         std::uint64_t* body_bytes);
 
@@ -114,14 +113,15 @@ Result<RequestFrame> ParseRequestHeader(std::string_view line,
 Result<ResponseFrame> ParseResponseHeader(std::string_view line,
                                           std::uint64_t* body_bytes);
 
-/// Incremental frame reassembly for nonblocking transports: bytes go in as
+/// Incremental frame reassembly — the one frame parser: bytes go in as
 /// they arrive off the wire, complete frames come out. The state machine
 /// has two states — accumulating a header line (bounded by
 /// max_header_bytes) and accumulating a body (bounded by max_body_bytes,
-/// checked before a single body byte is buffered) — and enforces exactly
-/// the limits and error conditions of the blocking FrameReader: any error
-/// means the stream is no longer frame-aligned and the connection must
-/// end after one id-0 response.
+/// checked before a single body byte is buffered). The epoll multiplexer
+/// feeds it directly and the blocking FrameReader wraps it, so both
+/// enforce the same limits by construction: any error means the stream is
+/// no longer frame-aligned and the connection must end after one id-0
+/// response.
 ///
 /// `Header` is the per-frame header type (RequestFrame or ResponseFrame).
 template <typename Header>
@@ -138,6 +138,13 @@ class FrameAssembler {
   /// the peer died mid-frame, not at a frame boundary.
   bool mid_frame() const { return !buffer_.empty() || in_body_; }
 
+  /// The end-of-stream verdict: OK at a frame boundary, the
+  /// connection-level "stream ended mid-frame" error otherwise.
+  Status AtEndOfStream() const {
+    return mid_frame() ? Status::InvalidArgument("stream ended mid-frame")
+                       : Status::OK();
+  }
+
  private:
   const WireLimits limits_;
   std::string buffer_;     ///< Header bytes (kHeader) or body bytes (kBody).
@@ -150,29 +157,31 @@ class FrameAssembler {
 using RequestFrameAssembler = FrameAssembler<RequestFrame>;
 using ResponseFrameAssembler = FrameAssembler<ResponseFrame>;
 
-/// Buffered frame reader over a ByteStream (one per connection side).
+/// Blocking frame reader over a ByteStream (one per connection side): a
+/// short loop that reads a chunk, feeds the FrameAssembler, and hands back
+/// queued frames one at a time. `Header` is RequestFrame or ResponseFrame.
+template <typename Header>
 class FrameReader {
  public:
   FrameReader(ByteStream* stream, const WireLimits& limits)
-      : stream_(stream), limits_(limits) {}
+      : stream_(stream), assembler_(limits) {}
 
-  /// Next request frame; nullopt on clean end-of-stream at a frame
-  /// boundary. Errors mean the stream is no longer frame-aligned.
-  Result<std::optional<RequestFrame>> ReadRequest();
-
-  /// Next response frame; nullopt on clean end-of-stream.
-  Result<std::optional<ResponseFrame>> ReadResponse();
+  /// Next frame; nullopt on clean end-of-stream at a frame boundary.
+  /// Errors mean the stream is no longer frame-aligned (EOF mid-frame
+  /// included). Frames that arrived ahead of a framing error are returned
+  /// before the error.
+  Result<std::optional<Header>> Read();
 
  private:
-  /// Reads through the next '\n' (nullopt on EOF before any byte;
-  /// kInvalidArgument past max_header_bytes without one).
-  Result<std::optional<std::string>> ReadHeaderLine();
-  Status ReadBody(std::uint64_t body_bytes, std::string* out);
-
   ByteStream* stream_;
-  WireLimits limits_;
-  std::string buffer_;  ///< Bytes read past the last consumed frame.
+  FrameAssembler<Header> assembler_;
+  std::vector<Header> frames_;  ///< Reassembled, not yet returned.
+  std::size_t next_ = 0;        ///< Index of the next frame to return.
+  Status error_ = Status::OK();  ///< Sticky framing error.
 };
+
+using RequestFrameReader = FrameReader<RequestFrame>;
+using ResponseFrameReader = FrameReader<ResponseFrame>;
 
 /// The parsed payload of an OK response body.
 struct ServeReply {

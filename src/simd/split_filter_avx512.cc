@@ -46,7 +46,10 @@ void SplitBuildDenseAvx512(const float* cost, std::uint64_t s, int k,
     if (r + 64 < total) _mm_prefetch(
         reinterpret_cast<const char*>(cost + idx[r + 64]), _MM_HINT_T1);
     const __m512i vi = _mm512_loadu_si512(idx + r);
-    _mm512_storeu_ps(dc + r, _mm512_i32gather_ps(vi, cost, 4));
+    // Masked form with an explicit zero pass-through: every lane is
+    // gathered, and no lane reads an undefined source register.
+    _mm512_storeu_ps(dc + r, _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
+                                                      0xFFFF, vi, cost, 4));
   }
   for (; r < total; ++r) dc[r] = cost[idx[r]];
   (void)k;
@@ -76,7 +79,8 @@ std::uint64_t SplitFilterDenseAvx512(const float* dc,
     // [1, full_rank - 1]), then a lane reversal.
     const __m512 fwd = _mm512_loadu_ps(dc + r);
     const __m512 rev_raw = _mm512_loadu_ps(dc + (full_rank - r - 15));
-    const __m512 rev = _mm512_permutexvar_ps(vrev, rev_raw);
+    const __m512 rev =
+        _mm512_mask_permutexvar_ps(rev_raw, 0xFFFF, vrev, rev_raw);
     const __mmask16 lt =
         _mm512_cmp_ps_mask(_mm512_add_ps(fwd, rev), vbest, _CMP_LT_OQ);
     mask |= static_cast<std::uint64_t>(lt) << i;

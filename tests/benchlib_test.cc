@@ -12,7 +12,7 @@ namespace {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch watch;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);
   watch.Reset();
   EXPECT_LT(watch.ElapsedSeconds(), 1.0);
@@ -30,7 +30,7 @@ TEST(TimeItTest, AccumulatesUntilFloor) {
   const TimingResult result = TimeIt(
       [] {
         volatile double sink = 0;
-        for (int i = 0; i < 1000; ++i) sink += i;
+        for (int i = 0; i < 1000; ++i) sink = sink + i;
       },
       0.01);
   EXPECT_GE(result.total_seconds, 0.01);

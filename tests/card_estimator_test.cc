@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "api/optimize_query.h"
+#include "card/fanout.h"
 #include "card/histogram.h"
 #include "card/no_estimate.h"
 #include "card/paper_fanout.h"
@@ -108,7 +109,7 @@ TEST(PaperFanoutEstimatorTest, MatchesTheDeprecatedWrappers) {
   for (std::uint64_t word = 1; word < (1ull << 7); ++word) {
     const RelSet s = RelSet::FromWord(word);
     EXPECT_EQ(estimator.EstimateCardinality(s),
-              w->graph.JoinCardinality(s, base))
+              FanoutJoinCardinality(w->graph, s, base))
         << "subset word " << word;
   }
 

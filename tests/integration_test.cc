@@ -9,6 +9,7 @@
 #include "baseline/dpsub.h"
 #include "baseline/greedy.h"
 #include "baseline/leftdeep.h"
+#include "card/fanout.h"
 #include "core/optimizer.h"
 #include "exec/datagen.h"
 #include "exec/executor.h"
@@ -143,8 +144,8 @@ TEST(IntegrationTest, EstimatedFinalCardinalityPredictsObserved) {
     for (int i = 0; i < instance.catalog.num_relations(); ++i) {
       actual_cards[i] = static_cast<double>((*tables)[i].num_rows());
     }
-    total_estimated += instance.graph.JoinCardinality(
-        instance.catalog.AllRelations(), actual_cards);
+    total_estimated += FanoutJoinCardinality(
+        instance.graph, instance.catalog.AllRelations(), actual_cards);
     total_observed += static_cast<double>(result->result.num_rows());
   }
   ASSERT_GT(total_estimated, 0);

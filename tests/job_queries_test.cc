@@ -22,6 +22,7 @@
 #include "exec/datagen.h"
 #include "exec/stats.h"
 #include "serve/client.h"
+#include "serve/mux.h"
 #include "serve/server.h"
 #include "serve/stream.h"
 #include "serve/wire.h"
@@ -197,7 +198,7 @@ class TestConnection {
     client_end_ = std::move(client_end);
     server_end_ = std::move(server_end);
     thread_ = std::thread([server, stream = server_end_.get()] {
-      (void)server->Serve(stream);
+      (void)ServeStream(server, stream);
     });
   }
 

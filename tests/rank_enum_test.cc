@@ -57,7 +57,9 @@ TEST(RankEnumTest, GosperEnumeratesRankInIncreasingOrder) {
       for (std::uint64_t i = 0; i < count; ++i) {
         EXPECT_EQ(std::popcount(v), k);
         EXPECT_LT(v, std::uint64_t{1} << n);
-        if (i > 0) EXPECT_GT(v, prev);
+        if (i > 0) {
+          EXPECT_GT(v, prev);
+        }
         prev = v;
         if (i + 1 < count) v = NextKSubset(v);
       }

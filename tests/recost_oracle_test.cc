@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "card/fanout.h"
 #include "core/optimizer.h"
 #include "plan/plan.h"
 #include "test_util.h"
@@ -51,7 +52,8 @@ TEST(RecostOracleTest, FixtureShapesAgreeOnCardinality) {
   const Catalog catalog = Table1Catalog();
   const JoinGraph graph = Figure3Graph();
   const std::vector<double> cards = {10, 20, 30, 40};
-  const double expected = graph.JoinCardinality(RelSet::FirstN(4), cards);
+  const double expected =
+      FanoutJoinCardinality(graph, RelSet::FirstN(4), cards);
   for (const Plan& plan : {BushyFour(), LeftDeepFour(), RightDeepFour()}) {
     for (const CostModelKind model : kModels) {
       const RecostResult r = RecostPlan(plan.root(), catalog, graph, model);

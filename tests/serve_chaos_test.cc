@@ -16,6 +16,7 @@
 
 #include "governor/faultpoints.h"
 #include "serve/client.h"
+#include "serve/mux.h"
 #include "serve/server.h"
 #include "serve/stream.h"
 #include "serve/wire.h"
@@ -56,7 +57,7 @@ LoadReport RunLoad(BlitzServer* server, int clients, int per_client,
                           report = &reports[static_cast<std::size_t>(c)]] {
       auto [client_end, server_end] = CreateDuplexPipe();
       std::thread serve_thread([server, stream = server_end.get()] {
-        (void)server->Serve(stream);
+        (void)ServeStream(server, stream);
         // If the connection ended early (accept fault, protocol error) the
         // buffered responses stay readable but the client must see EOF.
         stream->Close();
@@ -143,7 +144,7 @@ class ServeChaosTest : public ::testing::Test {
     auto [client_end, server_end] = CreateDuplexPipe();
     std::thread serve_thread(
         [&server, stream = server_end.get()] {
-          (void)(*server)->Serve(stream);
+          (void)ServeStream(server->get(), stream);
         });
     BlitzClient client(client_end.get(), BlitzClient::Options{});
     Result<ServeReply> after = client.Optimize(kSmallBjq);
@@ -219,7 +220,7 @@ TEST_F(ServeChaosTest, DrainFaultForcesImmediateCancellation) {
 
   auto [client_end, server_end] = CreateDuplexPipe();
   std::thread serve_thread([&server, stream = server_end.get()] {
-    (void)(*server)->Serve(stream);
+    (void)ServeStream(server->get(), stream);
   });
   BlitzClient client(client_end.get(), BlitzClient::Options{});
 

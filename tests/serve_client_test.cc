@@ -41,9 +41,9 @@ class ScriptedServer {
 
  private:
   void Run() {
-    FrameReader reader(server_end_.get(), WireLimits{});
+    RequestFrameReader reader(server_end_.get(), WireLimits{});
     for (;;) {
-      Result<std::optional<RequestFrame>> request = reader.ReadRequest();
+      Result<std::optional<RequestFrame>> request = reader.Read();
       if (!request.ok() || !request->has_value()) return;
       ResponseFrame response;
       if (static_cast<std::size_t>(requests_seen_) < responses_.size()) {

@@ -1,8 +1,9 @@
 // Edge-case tests for the epoll connection multiplexer (serve/mux.h):
 // fragmented frames, cross-connection error isolation, mid-frame
 // disconnects, the slow-loris write timeout, /statz over the mux,
-// serve.epoll.wait fault injection, and a 1k-socket SIGTERM-style drain
-// with exactly-once response accounting.
+// serve.epoll.wait fault injection, parity with the blocking ServeStream
+// pump, and a 1k-socket SIGTERM-style drain with exactly-once response
+// accounting.
 
 #include "serve/mux.h"
 
@@ -13,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -20,9 +22,11 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "governor/faultpoints.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -141,8 +145,8 @@ TEST(ServeMuxTest, ReassemblesByteAtATimeFrames) {
     if ((c & 3) == 0) std::this_thread::yield();
   }
   FdStream stream(fd, fd, /*own_fds=*/true);
-  FrameReader reader(&stream, WireLimits{});
-  Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+  ResponseFrameReader reader(&stream, WireLimits{});
+  Result<std::optional<ResponseFrame>> response = reader.Read();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->has_value());
   EXPECT_EQ((*response)->id, 7u);
@@ -168,13 +172,13 @@ TEST(ServeMuxTest, GarbageOnOneConnectionDoesNotPoisonAnother) {
 
   // The bad connection got the id-0 protocol error and was closed.
   FdStream bad(bad_fd, bad_fd, /*own_fds=*/true);
-  FrameReader reader(&bad, WireLimits{});
-  Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+  ResponseFrameReader reader(&bad, WireLimits{});
+  Result<std::optional<ResponseFrame>> response = reader.Read();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->has_value());
   EXPECT_EQ((*response)->id, 0u);
   EXPECT_EQ((*response)->code, StatusCode::kInvalidArgument);
-  Result<std::optional<ResponseFrame>> eof = reader.ReadResponse();
+  Result<std::optional<ResponseFrame>> eof = reader.Read();
   ASSERT_TRUE(eof.ok());
   EXPECT_FALSE(eof->has_value());
 
@@ -306,6 +310,99 @@ TEST(ServeMuxTest, TransientEpollFaultSkipsOneCycleAndKeepsServing) {
   EXPECT_GE(registry.hits(kFaultServeEpollWait), 3u);
 }
 
+/// One response as the parity test compares it. A statz body keeps only
+/// its keys: the counter values (and which tenants are momentarily in
+/// flight) depend on worker timing, not on the transport.
+using Answer = std::tuple<std::uint64_t, StatusCode, std::string>;
+
+std::vector<Answer> ReadAnswers(ByteStream* stream) {
+  std::vector<Answer> answers;
+  ResponseFrameReader reader(stream, WireLimits{});
+  for (;;) {
+    Result<std::optional<ResponseFrame>> response = reader.Read();
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok() || !response->has_value()) break;
+    std::string body = std::move((*response)->body);
+    if (StartsWith(body, kStatzMagic)) {
+      std::string keys;
+      for (const std::string& line : StrSplit(body, '\n')) {
+        if (line.empty() || StartsWith(line, "tenant_in_flight.")) continue;
+        keys += line.substr(0, line.find(' ')) + "\n";
+      }
+      body = keys;
+    }
+    answers.emplace_back((*response)->id, (*response)->code, std::move(body));
+  }
+  std::sort(answers.begin(), answers.end());
+  return answers;
+}
+
+// Both transports run the same server path, so one byte script must get
+// the same answers through the blocking pump and through the epoll loop:
+// pipelined queries, /statz, a repeat answered from the plan cache, and a
+// trailing truncated frame that ends the connection with one id-0 error.
+TEST(ServeMuxTest, StreamAndMuxTransportsAnswerAScriptIdentically) {
+  const auto request = [](std::uint64_t id, std::string body) {
+    RequestFrame frame;
+    frame.id = id;
+    frame.body = std::move(body);
+    return EncodeRequestFrame(frame);
+  };
+  const std::string script =
+      request(1, kSmallBjq) +
+      request(2,
+              "relation A 100\nrelation B 200\nrelation C 50\n"
+              "predicate A B 0.1\npredicate B C 0.2\n") +
+      request(3, std::string(kStatzBody)) + request(4, kSmallBjq) +
+      "blitzq1 default 5 100\nrelation A";
+  // One worker runs the queue in order, so request 1 is always the fresh
+  // computation and its repeat, request 4, the cache hit.
+  ServerOptions options;
+  options.num_workers = 1;
+
+  std::vector<Answer> via_stream;
+  {
+    Result<std::unique_ptr<BlitzServer>> server = BlitzServer::Create(options);
+    ASSERT_TRUE(server.ok());
+    auto [client_end, server_end] = CreateDuplexPipe();
+    Status served = Status::OK();
+    std::thread pump([&served, &server, stream = server_end.get()] {
+      served = ServeStream(server->get(), stream);
+      stream->Close();
+    });
+    ASSERT_TRUE(client_end->Write(script).ok());
+    client_end->CloseWrite();
+    via_stream = ReadAnswers(client_end.get());
+    pump.join();
+    EXPECT_EQ(served.code(), StatusCode::kInvalidArgument)
+        << served.ToString();
+  }
+
+  std::vector<Answer> via_mux;
+  {
+    MuxHarness harness(options);
+    const int fd = harness.Connect();
+    FdStream stream(fd, fd, /*own_fds=*/true);
+    ASSERT_TRUE(stream.Write(script).ok());
+    stream.CloseWrite();
+    via_mux = ReadAnswers(&stream);
+    EXPECT_TRUE(harness.Finish().ok());
+  }
+
+  EXPECT_EQ(via_stream, via_mux);
+  ASSERT_EQ(via_stream.size(), 5u);
+  EXPECT_EQ(via_stream[0],
+            Answer(0, StatusCode::kInvalidArgument, "stream ended mid-frame"));
+  for (std::size_t i = 1; i < via_stream.size(); ++i) {
+    EXPECT_EQ(std::get<0>(via_stream[i]), i);
+    EXPECT_EQ(std::get<1>(via_stream[i]), StatusCode::kOk);
+  }
+  EXPECT_NE(std::get<2>(via_stream[3]).find("blitz-statz-v1\n"),
+            std::string::npos);
+  EXPECT_EQ(std::get<2>(via_stream[1]).find("cached 1"), std::string::npos);
+  EXPECT_NE(std::get<2>(via_stream[4]).find("cached 1"), std::string::npos);
+}
+
 // The headline property: 1k concurrent sockets, one request each, drain
 // mid-traffic — every submitted request is answered exactly once and every
 // connection sees clean EOF afterwards.
@@ -337,10 +434,10 @@ TEST(ServeMuxTest, ThousandSocketDrainAnswersEverythingExactlyOnce) {
   int answered = 0;
   for (int i = 0; i < kConns; ++i) {
     FdStream stream(fds[i], fds[i], /*own_fds=*/true);
-    FrameReader reader(&stream, WireLimits{});
+    ResponseFrameReader reader(&stream, WireLimits{});
     int responses = 0;
     for (;;) {
-      Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+      Result<std::optional<ResponseFrame>> response = reader.Read();
       if (!response.ok()) {
         // A drain-time close that leaves our request unread in the server's
         // receive queue surfaces as ECONNRESET rather than a clean FIN (the

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "serve/client.h"
+#include "serve/mux.h"
 #include "serve/stream.h"
 #include "serve/wire.h"
 #include "testing/fuzzer.h"
@@ -37,7 +38,7 @@ class TestConnection {
     client_end_ = std::move(client_end);
     server_end_ = std::move(server_end);
     thread_ = std::thread([server, stream = server_end_.get()] {
-      (void)server->Serve(stream);
+      (void)ServeStream(server, stream);
     });
   }
 
@@ -112,8 +113,8 @@ TEST(ServerTest, FrameErrorEndsTheConnectionWithAnIdZeroResponse) {
   TestConnection conn(server->get());
 
   ASSERT_TRUE(conn.stream()->Write("this is not a frame header\n").ok());
-  FrameReader reader(conn.stream(), WireLimits{});
-  Result<std::optional<ResponseFrame>> response = reader.ReadResponse();
+  ResponseFrameReader reader(conn.stream(), WireLimits{});
+  Result<std::optional<ResponseFrame>> response = reader.Read();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->has_value());
   EXPECT_EQ((*response)->id, 0u);

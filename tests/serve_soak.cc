@@ -42,6 +42,7 @@
 #include "governor/faultpoints.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
+#include "serve/mux.h"
 #include "serve/server.h"
 #include "serve/stream.h"
 #include "serve/wire.h"
@@ -129,7 +130,7 @@ void ClientLoop(const SoakConfig& config, BlitzServer* server, int index,
     client_end = std::move(pipe.first);
     server_end = std::move(pipe.second);
     serve_thread = std::thread([server, stream = server_end.get()] {
-      (void)server->Serve(stream);
+      (void)ServeStream(server, stream);
       stream->Close();  // EOF to the client when the server hangs up first.
     });
     BlitzClient::Options options;

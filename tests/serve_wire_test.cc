@@ -34,8 +34,8 @@ TEST(WireTest, RequestRoundTrip) {
   ASSERT_TRUE(client->Write(encoded).ok());
   client->CloseWrite();
 
-  FrameReader reader(server.get(), WireLimits{});
-  Result<std::optional<RequestFrame>> read = reader.ReadRequest();
+  RequestFrameReader reader(server.get(), WireLimits{});
+  Result<std::optional<RequestFrame>> read = reader.Read();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   ASSERT_TRUE(read->has_value());
   EXPECT_EQ((*read)->tenant, "tenant-a");
@@ -44,7 +44,7 @@ TEST(WireTest, RequestRoundTrip) {
   EXPECT_EQ((*read)->body, "relation A 10\n");
 
   // Clean EOF at the frame boundary reads as nullopt, not an error.
-  Result<std::optional<RequestFrame>> eof = reader.ReadRequest();
+  Result<std::optional<RequestFrame>> eof = reader.Read();
   ASSERT_TRUE(eof.ok());
   EXPECT_FALSE(eof->has_value());
 }
@@ -60,8 +60,8 @@ TEST(WireTest, ResponseRoundTripWithRetryAfter) {
   ASSERT_TRUE(a->Write(EncodeResponseFrame(frame)).ok());
   a->CloseWrite();
 
-  FrameReader reader(b.get(), WireLimits{});
-  Result<std::optional<ResponseFrame>> read = reader.ReadResponse();
+  ResponseFrameReader reader(b.get(), WireLimits{});
+  Result<std::optional<ResponseFrame>> read = reader.Read();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   ASSERT_TRUE(read->has_value());
   EXPECT_EQ((*read)->id, 7u);
@@ -79,9 +79,9 @@ TEST(WireTest, PipelinedFramesReadBackToBack) {
   ASSERT_TRUE(a->Write(wire).ok());
   a->CloseWrite();
 
-  FrameReader reader(b.get(), WireLimits{});
+  RequestFrameReader reader(b.get(), WireLimits{});
   for (std::uint64_t id = 1; id <= 5; ++id) {
-    Result<std::optional<RequestFrame>> read = reader.ReadRequest();
+    Result<std::optional<RequestFrame>> read = reader.Read();
     ASSERT_TRUE(read.ok());
     ASSERT_TRUE(read->has_value());
     EXPECT_EQ((*read)->id, id);
@@ -104,8 +104,8 @@ TEST(WireTest, MalformedHeadersAreErrors) {
     auto [a, b] = CreateDuplexPipe();
     ASSERT_TRUE(a->Write(header).ok());
     a->CloseWrite();
-    FrameReader reader(b.get(), WireLimits{});
-    Result<std::optional<RequestFrame>> read = reader.ReadRequest();
+    RequestFrameReader reader(b.get(), WireLimits{});
+    Result<std::optional<RequestFrame>> read = reader.Read();
     EXPECT_FALSE(read.ok()) << "accepted: " << header;
   }
 }
@@ -128,8 +128,8 @@ TEST(WireTest, OversizedDeclaredBodyRejectedBeforeReading) {
   ASSERT_TRUE(a->Write("blitzq1 default 1 1073741824\n").ok());
   WireLimits limits;
   limits.max_body_bytes = 1 << 20;
-  FrameReader reader(b.get(), limits);
-  Result<std::optional<RequestFrame>> read = reader.ReadRequest();
+  RequestFrameReader reader(b.get(), limits);
+  Result<std::optional<RequestFrame>> read = reader.Read();
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kResourceExhausted);
 }
@@ -139,8 +139,8 @@ TEST(WireTest, UnterminatedHeaderBoundedByLimit) {
   ASSERT_TRUE(a->Write(std::string(4096, 'x')).ok());
   WireLimits limits;
   limits.max_header_bytes = 256;
-  FrameReader reader(b.get(), limits);
-  Result<std::optional<RequestFrame>> read = reader.ReadRequest();
+  RequestFrameReader reader(b.get(), limits);
+  Result<std::optional<RequestFrame>> read = reader.Read();
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
 }
@@ -149,8 +149,8 @@ TEST(WireTest, TruncatedBodyIsAnError) {
   auto [a, b] = CreateDuplexPipe();
   ASSERT_TRUE(a->Write("blitzq1 default 1 100\nshort").ok());
   a->CloseWrite();
-  FrameReader reader(b.get(), WireLimits{});
-  Result<std::optional<RequestFrame>> read = reader.ReadRequest();
+  RequestFrameReader reader(b.get(), WireLimits{});
+  Result<std::optional<RequestFrame>> read = reader.Read();
   EXPECT_FALSE(read.ok());
 }
 
@@ -164,8 +164,8 @@ TEST(WireTest, StatusCodeNamesRoundTripTheWire) {
     frame.code = code;
     auto [a, b] = CreateDuplexPipe();
     ASSERT_TRUE(a->Write(EncodeResponseFrame(frame)).ok());
-    FrameReader reader(b.get(), WireLimits{});
-    Result<std::optional<ResponseFrame>> read = reader.ReadResponse();
+    ResponseFrameReader reader(b.get(), WireLimits{});
+    Result<std::optional<ResponseFrame>> read = reader.Read();
     ASSERT_TRUE(read.ok());
     EXPECT_EQ((*read)->code, code) << StatusCodeToString(code);
   }
@@ -324,21 +324,26 @@ TEST(AssemblerTest, ResponseAssemblerMatchesTheBlockingReader) {
   EXPECT_EQ(frames[0].body, "try later");
 }
 
-TEST(StreamTest, ReadFullAcrossChunkedWrites) {
+TEST(StreamTest, FrameReadAcrossChunkedWrites) {
   auto [a, b] = CreateDuplexPipe(/*buffer_capacity=*/8);
-  std::thread writer([&a] {
-    // 64 bytes through an 8-byte buffer forces chunked, blocking writes.
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(a->Write("01234567").ok());
-    }
+  const std::string body(64, 'q');
+  const std::string wire = EncodeRequestFrame(MakeRequest(3, body));
+  std::thread writer([&a, &wire] {
+    // The whole frame through an 8-byte buffer forces chunked, blocking
+    // writes, and a reader that reassembles it from many short reads.
+    EXPECT_TRUE(a->Write(wire).ok());
     a->CloseWrite();
   });
-  char buf[64];
-  EXPECT_TRUE(ReadFull(b.get(), buf, sizeof(buf)).ok());
-  Result<std::size_t> eof = b->Read(buf, 1);
-  ASSERT_TRUE(eof.ok());
-  EXPECT_EQ(*eof, 0u);
+  RequestFrameReader reader(b.get(), WireLimits{});
+  Result<std::optional<RequestFrame>> read = reader.Read();
+  Result<std::optional<RequestFrame>> eof = reader.Read();
   writer.join();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_TRUE(read->has_value());
+  EXPECT_EQ((*read)->id, 3u);
+  EXPECT_EQ((*read)->body, body);
+  ASSERT_TRUE(eof.ok());
+  EXPECT_FALSE(eof->has_value());
 }
 
 TEST(StreamTest, WriteAfterPeerCloseIsUnavailable) {
@@ -358,8 +363,8 @@ TEST(StreamTest, FdStreamCarriesFramesOverAPipePair) {
   FdStream server(to_server[0], to_client[1], /*own_fds=*/true);
 
   ASSERT_TRUE(client.Write(EncodeRequestFrame(MakeRequest(9, "abc"))).ok());
-  FrameReader reader(&server, WireLimits{});
-  Result<std::optional<RequestFrame>> read = reader.ReadRequest();
+  RequestFrameReader reader(&server, WireLimits{});
+  Result<std::optional<RequestFrame>> read = reader.Read();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   ASSERT_TRUE(read->has_value());
   EXPECT_EQ((*read)->id, 9u);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "card/fanout.h"
+
 namespace blitz {
 namespace {
 
@@ -78,7 +80,7 @@ TEST(WorkloadTest, ResultCardinalityEqualsMean) {
         cards[i] = workload->catalog.cardinality(i);
       }
       const double result_card =
-          workload->graph.JoinCardinality(RelSet::FirstN(15), cards);
+          FanoutJoinCardinality(workload->graph, RelSet::FirstN(15), cards);
       EXPECT_NEAR(result_card, 464.0, 1.0)
           << spec.ToString();
     }

@@ -91,7 +91,6 @@ void PrintUsage(std::FILE* out) {
       "                           0 disables the cache)\n"
       "  --cache-bytes <n>        plan cache retained-bytes cap\n"
       "                           (default 64M)\n"
-      "  --no-cache               disable the plan cache entirely\n"
       "  --help                   this text\n");
 }
 
@@ -108,10 +107,6 @@ struct DaemonArgs {
   int max_connections = 0;
   ServerOptions server;
 };
-
-bool ParseIntArg(const char* value, int* out) {
-  return ParseInt(value, out);
-}
 
 Result<DaemonArgs> ParseArgs(int argc, char** argv) {
   DaemonArgs args;
@@ -132,25 +127,25 @@ Result<DaemonArgs> ParseArgs(int argc, char** argv) {
       args.unix_path = value;
     } else if (arg == "--tcp") {
       const char* value = next();
-      if (value == nullptr || !ParseIntArg(value, &args.tcp_port) ||
+      if (value == nullptr || !ParseInt(value, &args.tcp_port) ||
           args.tcp_port < 1 || args.tcp_port > 65535) {
         return Status::InvalidArgument("--tcp needs a port in [1, 65535]");
       }
       args.transport = DaemonArgs::Transport::kTcp;
     } else if (arg == "--workers") {
       const char* value = next();
-      if (value == nullptr || !ParseIntArg(value, &args.server.num_workers)) {
+      if (value == nullptr || !ParseInt(value, &args.server.num_workers)) {
         return Status::InvalidArgument("--workers needs an integer");
       }
     } else if (arg == "--max-queue") {
       const char* value = next();
-      if (value == nullptr || !ParseIntArg(value, &args.server.max_queue)) {
+      if (value == nullptr || !ParseInt(value, &args.server.max_queue)) {
         return Status::InvalidArgument("--max-queue needs an integer");
       }
     } else if (arg == "--max-in-flight") {
       const char* value = next();
       int n = 0;
-      if (value == nullptr || !ParseIntArg(value, &n)) {
+      if (value == nullptr || !ParseInt(value, &n)) {
         return Status::InvalidArgument("--max-in-flight needs an integer");
       }
       args.server.admission.default_quota.max_in_flight = n;
@@ -186,7 +181,7 @@ Result<DaemonArgs> ParseArgs(int argc, char** argv) {
     } else if (arg == "--max-body-bytes") {
       const char* value = next();
       int n = 0;
-      if (value == nullptr || !ParseIntArg(value, &n) || n < 1) {
+      if (value == nullptr || !ParseInt(value, &n) || n < 1) {
         return Status::InvalidArgument(
             "--max-body-bytes needs a positive integer");
       }
@@ -205,7 +200,7 @@ Result<DaemonArgs> ParseArgs(int argc, char** argv) {
     } else if (arg == "--max-connections") {
       const char* value = next();
       int n = 0;
-      if (value == nullptr || !ParseIntArg(value, &n) || n < 0) {
+      if (value == nullptr || !ParseInt(value, &n) || n < 0) {
         return Status::InvalidArgument(
             "--max-connections needs a non-negative integer");
       }
@@ -213,7 +208,7 @@ Result<DaemonArgs> ParseArgs(int argc, char** argv) {
     } else if (arg == "--cache-entries") {
       const char* value = next();
       int n = 0;
-      if (value == nullptr || !ParseIntArg(value, &n) || n < 0) {
+      if (value == nullptr || !ParseInt(value, &n) || n < 0) {
         return Status::InvalidArgument(
             "--cache-entries needs a non-negative integer");
       }
@@ -221,17 +216,15 @@ Result<DaemonArgs> ParseArgs(int argc, char** argv) {
     } else if (arg == "--cache-bytes") {
       const char* value = next();
       int n = 0;
-      if (value == nullptr || !ParseIntArg(value, &n) || n < 0) {
+      if (value == nullptr || !ParseInt(value, &n) || n < 0) {
         return Status::InvalidArgument(
             "--cache-bytes needs a non-negative integer");
       }
       args.server.cache.max_bytes = static_cast<std::size_t>(n);
-    } else if (arg == "--no-cache") {
-      args.server.cache.max_entries = 0;
     } else if (arg == "--arena-bytes") {
       const char* value = next();
       int n = 0;
-      if (value == nullptr || !ParseIntArg(value, &n) || n < 0) {
+      if (value == nullptr || !ParseInt(value, &n) || n < 0) {
         return Status::InvalidArgument(
             "--arena-bytes needs a non-negative integer");
       }
@@ -292,21 +285,6 @@ Result<int> ListenTcp(int port) {
   return fd;
 }
 
-/// Serves a listening socket through the epoll multiplexer (serve/mux.h):
-/// one event-loop thread owns every connection, so concurrency is bounded
-/// by file descriptors rather than reader threads. The wake fd (SIGTERM
-/// self-pipe) triggers the drain; ServeMultiplexed itself guarantees every
-/// admitted request is answered before it returns.
-Status AcceptLoop(BlitzServer* server, int listen_fd, int wake_fd,
-                  double write_timeout_ms, int max_connections) {
-  MuxOptions mux;
-  mux.listen_fd = listen_fd;
-  mux.wake_fd = wake_fd;
-  mux.write_timeout_ms = write_timeout_ms;
-  mux.max_connections = max_connections;
-  return ServeMultiplexed(server, mux);
-}
-
 int RunDaemon(const DaemonArgs& args) {
   // SIGTERM/SIGINT self-pipe: the one fd every blocking site polls.
   int wake_pipe[2];
@@ -331,12 +309,20 @@ int RunDaemon(const DaemonArgs& args) {
     return kExitError;
   }
 
+  // Socket transports run the epoll multiplexer (serve/mux.h): one
+  // event-loop thread owns every connection, and the wake fd (SIGTERM
+  // self-pipe) triggers its drain.
+  MuxOptions mux;
+  mux.wake_fd = wake_pipe[0];
+  mux.write_timeout_ms = args.write_timeout_ms;
+  mux.max_connections = args.max_connections;
+
   Status served = Status::OK();
   switch (args.transport) {
     case DaemonArgs::Transport::kStdio: {
       FdStream stream(STDIN_FILENO, STDOUT_FILENO, /*own_fds=*/false,
                       wake_pipe[0], args.write_timeout_ms);
-      served = (*server)->Serve(&stream);
+      served = ServeStream(server->get(), &stream);
       // EOF on stdin is this transport's drain signal.
       (*server)->BeginDrain();
       break;
@@ -349,8 +335,8 @@ int RunDaemon(const DaemonArgs& args) {
       }
       std::fprintf(stderr, "blitzd: serving on unix socket %s\n",
                    args.unix_path.c_str());
-      served = AcceptLoop(server->get(), *listen_fd, wake_pipe[0],
-                          args.write_timeout_ms, args.max_connections);
+      mux.listen_fd = *listen_fd;
+      served = ServeMultiplexed(server->get(), mux);
       ::close(*listen_fd);
       ::unlink(args.unix_path.c_str());
       break;
@@ -363,8 +349,8 @@ int RunDaemon(const DaemonArgs& args) {
       }
       std::fprintf(stderr, "blitzd: serving on 127.0.0.1:%d\n",
                    args.tcp_port);
-      served = AcceptLoop(server->get(), *listen_fd, wake_pipe[0],
-                          args.write_timeout_ms, args.max_connections);
+      mux.listen_fd = *listen_fd;
+      served = ServeMultiplexed(server->get(), mux);
       ::close(*listen_fd);
       break;
     }
