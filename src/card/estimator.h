@@ -60,14 +60,17 @@ class CardinalityEstimator {
   virtual double EstimateCardinality(RelSet s) const = 0;
 
   /// Fills `cards` with the estimate for every subset (indexed by set word;
-  /// size 2^num_relations; entry 0 unused). The non-exact DP path preloads
-  /// its card column from this. Implementations override when they can beat
-  /// the generic per-subset loop.
+  /// size 2^num_relations; entry 0 unused). A non-exact estimator's DP pass
+  /// (CardSource::kPreloaded, core/blitzsplit.h) copies this into its card
+  /// column once, before the sequential or rank-parallel driver runs.
+  /// Implementations override when they can beat the generic per-subset
+  /// loop.
   virtual void EstimateAll(std::vector<double>* cards) const;
 
   /// True iff estimates reproduce the paper's exact derivation bit-for-bit
   /// (only PaperFanoutEstimator). Exact estimators ride the fused Pi_fan
-  /// hot path unchanged; non-exact ones take the preloaded-card path.
+  /// hot path (CardSource::kFanout) unchanged; non-exact ones take the
+  /// preloaded-card path (CardSource::kPreloaded).
   virtual bool exact() const { return false; }
 
   /// The estimator's implied selectivity of joining disjoint U and V:

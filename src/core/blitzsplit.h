@@ -32,6 +32,26 @@ namespace blitz {
 #define BLITZ_NOINLINE
 #endif
 
+/// Where a pass's per-subset cardinalities come from. This is the only
+/// thing that distinguishes the pure Cartesian optimizer (Sections 3-4),
+/// the join optimizer (Section 5) and the estimator seam
+/// (card/estimator.h): a join is a Cartesian product with different
+/// intermediate cardinalities, so compute_properties(S) varies with the
+/// source while find_best_split(S) — gate, SIMD filter, tie-breaks,
+/// counters — is the same code for all three.
+enum class CardSource {
+  /// Sections 3-4: card(S) = card(U) * card(V). No graph, no pi_fan column.
+  kProduct,
+  /// Section 5: the Pi_fan recurrence fused into the pass over the graph's
+  /// selectivities. Graph non-null, pi_fan column allocated.
+  kFanout,
+  /// The card column is filled from CardinalityEstimator::EstimateAll
+  /// once, before the pass; compute_properties only reads it. There is no
+  /// recurrence to fuse for an arbitrary estimate. No graph, no pi_fan
+  /// column.
+  kPreloaded,
+};
+
 namespace internal {
 
 /// The per-subset body of procedure blitzsplit — compute_properties(S)
@@ -65,23 +85,16 @@ namespace internal {
 /// filled row, the best_lhs tie-break (first strict improvement in
 /// successor order wins), and the instrumentation counts are bit-identical
 /// for every cost model.
-/// The extra trailing parameter kExternalCards supports the estimator seam
-/// (card/estimator.h): when true, the card column was preloaded by the
-/// driver from CardinalityEstimator::EstimateAll and compute_properties
-/// reads card[s] instead of deriving it — there is no Pi_fan recurrence to
-/// fuse for an arbitrary estimate, so it requires kWithPredicates == false.
-/// The find_best_split half (gate, SIMD filter, tie-breaks, counters) is
-/// untouched: it only ever reads the cost and card columns.
-template <typename CostModel, bool kWithPredicates, bool kNestedIfs,
-          typename Instr, bool kExternalCards = false>
+/// `kCards` selects compute_properties(S) only (see CardSource); the
+/// find_best_split half only ever reads the cost and card columns.
+template <typename CostModel, CardSource kCards, bool kNestedIfs,
+          typename Instr>
 BLITZ_ALWAYS_INLINE void BlitzProcessSubset(
     const CostModel& model, const JoinGraph* graph, float cost_threshold,
     std::uint64_t s, float* cost, double* card, std::uint32_t* best,
     double* pi_fan, double* aux, Instr* instr,
     const SplitKernel* split_kernel = nullptr,
     SplitScratch* scratch = nullptr) {
-  static_assert(!(kExternalCards && kWithPredicates),
-                "external cards replace the Pi_fan recurrence");
   // Phase attribution (ProfilingInstrumentation): ProfBegin charges the
   // inter-subset gap to the driver phase; the marks below partition the
   // body into {table_write, gate_filter, survivor_replay, kappa2} so the
@@ -95,10 +108,10 @@ BLITZ_ALWAYS_INLINE void BlitzProcessSubset(
   const std::uint64_t u = s & (~s + 1);
   const std::uint64_t v = s ^ u;
   double out_card;
-  if constexpr (kExternalCards) {
+  if constexpr (kCards == CardSource::kPreloaded) {
     // Preloaded by the driver from the estimator; nothing to derive.
     out_card = card[s];
-  } else if constexpr (kWithPredicates) {
+  } else if constexpr (kCards == CardSource::kFanout) {
     double fan;
     if ((v & (v - 1)) == 0) {
       // Doubleton {R,R'}: Pi_fan is the selectivity of the predicate
@@ -116,7 +129,7 @@ BLITZ_ALWAYS_INLINE void BlitzProcessSubset(
   } else {
     out_card = card[u] * card[v];
   }
-  if constexpr (!kExternalCards) card[s] = out_card;
+  if constexpr (kCards != CardSource::kPreloaded) card[s] = out_card;
   if constexpr (CostModel::kNeedsAux) aux[s] = CostModel::Aux(out_card);
 
   // --- find_best_split(S) ------------------------------------------
@@ -254,34 +267,41 @@ BLITZ_ALWAYS_INLINE void BlitzProcessSubset(
   instr->ProfMark(DpPhase::kTableWrite);
 }
 
-/// First loop of procedure blitzsplit: init_singleton for each relation.
-/// Shared by the sequential and rank-parallel drivers.
-template <typename CostModel, bool kWithPredicates>
-inline void BlitzInitSingletons(const std::vector<double>& base_cards,
+/// First loop of procedure blitzsplit: init_singleton for each relation,
+/// after copying every row's estimate into the card column when the source
+/// is kPreloaded. `cards` is as documented on RunBlitzSplit. Shared by the
+/// sequential and rank-parallel drivers.
+template <typename CostModel, CardSource kCards>
+inline void BlitzInitSingletons(const std::vector<double>& cards, int n,
                                 float* cost, double* card,
                                 std::uint32_t* best, double* pi_fan,
                                 double* aux) {
-  const int n = static_cast<int>(base_cards.size());
+  if constexpr (kCards == CardSource::kPreloaded) {
+    // Row 0 (the empty set) is unused and left untouched.
+    std::copy(cards.begin() + 1, cards.end(), card + 1);
+  }
   for (int i = 0; i < n; ++i) {
     const std::uint64_t w = std::uint64_t{1} << i;
-    card[w] = base_cards[i];
+    if constexpr (kCards != CardSource::kPreloaded) card[w] = cards[i];
     cost[w] = 0.0f;
     best[w] = 0;
-    if constexpr (kWithPredicates) pi_fan[w] = 1.0;
-    if constexpr (CostModel::kNeedsAux) aux[w] = CostModel::Aux(base_cards[i]);
+    if constexpr (kCards == CardSource::kFanout) pi_fan[w] = 1.0;
+    if constexpr (CostModel::kNeedsAux) aux[w] = CostModel::Aux(card[w]);
   }
 }
 
 /// Validates the (problem, table, configuration) contract shared by both
-/// drivers. Checks are debug-build assertions via BLITZ_CHECK.
-template <typename CostModel, bool kWithPredicates>
-inline void BlitzCheckPass(const std::vector<double>& base_cards,
+/// drivers. Checks are BLITZ_CHECK assertions (programmer errors).
+template <typename CostModel, CardSource kCards>
+inline void BlitzCheckPass(const std::vector<double>& cards,
                            const JoinGraph* graph, const DpTable& table) {
-  const int n = static_cast<int>(base_cards.size());
+  const int n = table.num_relations();
   BLITZ_CHECK(n >= 1 && n <= kMaxRelations);
-  BLITZ_CHECK(table.num_relations() == n);
-  BLITZ_CHECK((graph != nullptr) == kWithPredicates);
-  BLITZ_CHECK(table.has_pi_fan() == kWithPredicates);
+  BLITZ_CHECK(cards.size() == (kCards == CardSource::kPreloaded
+                                   ? std::uint64_t{1} << n
+                                   : static_cast<std::uint64_t>(n)));
+  BLITZ_CHECK((graph != nullptr) == (kCards == CardSource::kFanout));
+  BLITZ_CHECK(table.has_pi_fan() == (kCards == CardSource::kFanout));
   BLITZ_CHECK(table.has_aux() == CostModel::kNeedsAux);
 }
 
@@ -290,22 +310,28 @@ inline void BlitzCheckPass(const std::vector<double>& base_cards,
 /// The blitzsplit dynamic programming core (Figure 1 of the paper, with the
 /// Section 4 lightweight realization and the Section 5 join extension).
 ///
-/// Fills `table` bottom-up for every nonempty subset of the n relations whose
-/// base cardinalities are given. Returns the cost of the best plan for the
-/// full set (kRejectedCost if every plan was rejected by the threshold).
+/// Fills `table` bottom-up for every nonempty subset of its n relations.
+/// Returns the cost of the best plan for the full set (kRejectedCost if
+/// every plan was rejected by the threshold).
 ///
 /// Template parameters:
-///   CostModel        — a cost-model policy from cost/cost_model.h, supplying
-///                      the kappa = kappa' + kappa'' decomposition.
-///   kWithPredicates  — false reproduces the pure Cartesian-product optimizer
-///                      of Sections 3-4 (no Pi_fan column, one multiplication
-///                      in compute_properties); true adds the Section 5
-///                      selectivity recurrences (three multiplications).
-///   kNestedIfs       — true uses the Section 4.2 nested-if short-circuiting
-///                      in find_best_split; false evaluates kappa'' on every
-///                      loop iteration (the ablation of Section 6.2).
-///   Instr            — instrumentation policy (NoInstrumentation or
-///                      CountingInstrumentation).
+///   CostModel   — a cost-model policy from cost/cost_model.h, supplying the
+///                 kappa = kappa' + kappa'' decomposition.
+///   kCards      — where cardinalities come from (CardSource): kProduct is
+///                 the pure Cartesian-product optimizer of Sections 3-4 (one
+///                 multiplication in compute_properties); kFanout adds the
+///                 Section 5 selectivity recurrences (three
+///                 multiplications); kPreloaded reads estimator output.
+///   kNestedIfs  — true uses the Section 4.2 nested-if short-circuiting in
+///                 find_best_split; false evaluates kappa'' on every loop
+///                 iteration (the ablation of Section 6.2).
+///   Instr       — instrumentation policy (NoInstrumentation,
+///                 CountingInstrumentation or ProfilingInstrumentation).
+///
+/// `cards` holds the n base cardinalities for kProduct and kFanout, and
+/// for kPreloaded every subset's estimate indexed by set word (size 2^n,
+/// entry 0 ignored) from CardinalityEstimator::EstimateAll, which the
+/// driver copies into the card column before the pass.
 ///
 /// `cost_threshold` implements Section 6.4: any subset whose
 /// split-independent cost kappa'(S) already reaches the threshold has its
@@ -337,20 +363,20 @@ inline void BlitzCheckPass(const std::vector<double>& base_cards,
 /// For the multicore rank-synchronous variant of this driver see
 /// parallel/blitzsplit_ranked.h; both produce bit-identical tables.
 ///
-/// Requirements: base_cards.size() == n in [1, kMaxRelations]; graph non-null
-/// iff kWithPredicates; the table must have been created with matching
-/// columns (pi_fan iff kWithPredicates, aux iff CostModel::kNeedsAux).
-template <typename CostModel, bool kWithPredicates, bool kNestedIfs = true,
+/// Requirements: table->num_relations() == n in [1, kMaxRelations];
+/// `cards` sized as above; graph non-null iff kFanout; the table must have
+/// been created with matching columns (pi_fan iff kFanout, aux iff
+/// CostModel::kNeedsAux); preloaded estimates positive and finite.
+template <typename CostModel, CardSource kCards, bool kNestedIfs = true,
           typename Instr = NoInstrumentation>
 BLITZ_NOINLINE float RunBlitzSplit(const CostModel& model,
-                    const std::vector<double>& base_cards,
+                    const std::vector<double>& cards,
                     const JoinGraph* graph, float cost_threshold,
                     DpTable* table, Instr* instr,
                     GovernorState* governor = nullptr,
                     const SplitKernel* split_kernel = nullptr) {
-  internal::BlitzCheckPass<CostModel, kWithPredicates>(base_cards, graph,
-                                                       *table);
-  const int n = static_cast<int>(base_cards.size());
+  internal::BlitzCheckPass<CostModel, kCards>(cards, graph, *table);
+  const int n = table->num_relations();
 
   SplitScratch scratch;
   if constexpr (kNestedIfs) {
@@ -366,11 +392,12 @@ BLITZ_NOINLINE float RunBlitzSplit(const CostModel& model,
   float* const cost = table->cost_data();
   double* const card = table->card_data();
   std::uint32_t* const best = table->best_lhs_data();
-  double* const pi_fan = kWithPredicates ? table->pi_fan_data() : nullptr;
+  double* const pi_fan =
+      kCards == CardSource::kFanout ? table->pi_fan_data() : nullptr;
   double* const aux = CostModel::kNeedsAux ? table->aux_data() : nullptr;
 
-  internal::BlitzInitSingletons<CostModel, kWithPredicates>(
-      base_cards, cost, card, best, pi_fan, aux);
+  internal::BlitzInitSingletons<CostModel, kCards>(cards, n, cost, card,
+                                                   best, pi_fan, aux);
 
   const std::uint64_t full = (std::uint64_t{1} << n) - 1;
   if (n == 1) {
@@ -387,78 +414,9 @@ BLITZ_NOINLINE float RunBlitzSplit(const CostModel& model,
       instr->ProfPassEnd();
       return kRejectedCost;
     }
-    internal::BlitzProcessSubset<CostModel, kWithPredicates, kNestedIfs>(
+    internal::BlitzProcessSubset<CostModel, kCards, kNestedIfs>(
         model, graph, cost_threshold, s, cost, card, best, pi_fan, aux,
         instr, split_kernel, &scratch);
-  }
-  instr->ProfPassEnd();
-  return cost[full];
-}
-
-/// Sequential driver over externally-supplied per-subset cardinalities —
-/// the non-exact half of the estimator seam. `all_cards` (size 2^n, indexed
-/// by set word, entry 0 ignored) comes from CardinalityEstimator::
-/// EstimateAll; the driver preloads the table's card column from it and
-/// runs the same find_best_split machinery (threshold pre-skip, SIMD gate
-/// filter, nested ifs, governor ticks) with the Pi_fan recurrence compiled
-/// out. The exact PaperFanoutEstimator never takes this path — it rides the
-/// fused RunBlitzSplit above, which is what keeps the default configuration
-/// bit-identical. Requirements: the table must have been created without a
-/// pi_fan column (aux iff CostModel::kNeedsAux), every estimate must be
-/// positive and finite, and all_cards[1<<i] supplies the singleton rows.
-template <typename CostModel, bool kNestedIfs = true,
-          typename Instr = NoInstrumentation>
-BLITZ_NOINLINE float RunBlitzSplitWithCards(
-    const CostModel& model, const std::vector<double>& all_cards,
-    float cost_threshold, DpTable* table, Instr* instr,
-    GovernorState* governor = nullptr,
-    const SplitKernel* split_kernel = nullptr) {
-  const int n = table->num_relations();
-  BLITZ_CHECK(n >= 1 && n <= kMaxRelations);
-  BLITZ_CHECK(all_cards.size() == (std::uint64_t{1} << n));
-  BLITZ_CHECK(!table->has_pi_fan());
-  BLITZ_CHECK(table->has_aux() == CostModel::kNeedsAux);
-
-  SplitScratch scratch;
-  if constexpr (kNestedIfs) {
-    if (split_kernel != nullptr && n >= kSimdMinPopcount) {
-      scratch.EnsureCapacity(n);
-    } else {
-      split_kernel = nullptr;  // No subset can reach the popcount gate.
-    }
-  } else {
-    split_kernel = nullptr;  // The flat ablation has no gate to batch.
-  }
-
-  float* const cost = table->cost_data();
-  double* const card = table->card_data();
-  std::uint32_t* const best = table->best_lhs_data();
-  double* const aux = CostModel::kNeedsAux ? table->aux_data() : nullptr;
-
-  // Preload every row's cardinality, then initialize the singleton rows.
-  const std::uint64_t full = (std::uint64_t{1} << n) - 1;
-  for (std::uint64_t s = 1; s <= full; ++s) card[s] = all_cards[s];
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t w = std::uint64_t{1} << i;
-    cost[w] = 0.0f;
-    best[w] = 0;
-    if constexpr (CostModel::kNeedsAux) aux[w] = CostModel::Aux(card[w]);
-  }
-  if (n == 1) {
-    instr->ProfPassEnd();
-    return cost[full];
-  }
-
-  for (std::uint64_t s = 3; s <= full; ++s) {
-    if ((s & (s - 1)) == 0) continue;  // singleton — already initialized
-    if (governor != nullptr && governor->Tick()) {
-      instr->ProfPassEnd();
-      return kRejectedCost;
-    }
-    internal::BlitzProcessSubset<CostModel, /*kWithPredicates=*/false,
-                                 kNestedIfs, Instr, /*kExternalCards=*/true>(
-        model, /*graph=*/nullptr, cost_threshold, s, cost, card, best,
-        /*pi_fan=*/nullptr, aux, instr, split_kernel, &scratch);
   }
   instr->ProfPassEnd();
   return cost[full];

@@ -61,29 +61,6 @@ std::vector<double> BaseCards(const Catalog& catalog) {
   return cards;
 }
 
-/// Runs one pass with a fully compile-time configuration, choosing the
-/// sequential integer-order driver or the rank-synchronous parallel driver
-/// at runtime. `resolved` is options.budget pinned via Resolved() so the
-/// parallel workers' per-thread governors share the caller's clock.
-template <typename Model, bool kWithPredicates, bool kNestedIfs,
-          typename Instr>
-float RunConfigured(const Model& model, const OptimizerOptions& options,
-                    const ResourceBudget& resolved,
-                    const std::vector<double>& base_cards,
-                    const JoinGraph* graph, DpTable* table, Instr* instr,
-                    GovernorState* governor,
-                    const SplitKernel* split_kernel) {
-  if (options.parallel.ShouldParallelize(
-          static_cast<int>(base_cards.size()))) {
-    return RunBlitzSplitRanked<Model, kWithPredicates, kNestedIfs>(
-        model, base_cards, graph, options.cost_threshold, table, instr,
-        options.parallel, resolved, governor, split_kernel);
-  }
-  return RunBlitzSplit<Model, kWithPredicates, kNestedIfs>(
-      model, base_cards, graph, options.cost_threshold, table, instr,
-      governor, split_kernel);
-}
-
 /// Whether the model's kappa'' is identically zero, making the batched
 /// operand gate the complete cost comparison (kSplitGateTight in
 /// cost/cost_model.h).
@@ -141,99 +118,42 @@ void RecordSimdMetric(SimdLevel resolved) {
   }
 }
 
-/// Dispatches to the right blitzsplit instantiation for the runtime
-/// options. `graph` is null for the Cartesian-only variant. Returns the
+/// Runs one pass on the blitzsplit instantiation the runtime options
+/// select. The instrumentation policy (profile / count / none) and the
+/// nested_ifs ablation are chosen here, once; whether the pass runs
+/// sequentially or rank-parallel is RunBlitzSplitRanked's decision.
+/// `cards` and `graph` follow RunBlitzSplit's contract for kCards;
+/// `resolved` is options.budget pinned via Resolved() so the parallel
+/// workers' per-thread governors share the caller's clock. Returns the
 /// pass's resolved SIMD level through *simd_level (never kAuto).
-template <bool kWithPredicates>
+template <CardSource kCards>
 float Dispatch(const OptimizerOptions& options,
                const ResourceBudget& resolved,
-               const std::vector<double>& base_cards, const JoinGraph* graph,
+               const std::vector<double>& cards, const JoinGraph* graph,
                DpTable* table, CountingInstrumentation* counters,
                GovernorState* governor, SimdLevel* simd_level) {
   const SplitKernel* split_kernel = nullptr;
-  const SimdLevel simd = ResolvePassSimd(
-      options, static_cast<int>(base_cards.size()), &split_kernel);
-  if (simd_level != nullptr) *simd_level = simd;
-  RecordSimdMetric(simd);
+  *simd_level =
+      ResolvePassSimd(options, table->num_relations(), &split_kernel);
+  RecordSimdMetric(*simd_level);
   return DispatchCostModel(options.cost_model, [&](auto model) -> float {
     using Model = decltype(model);
+    const auto run = [&](auto* instr) -> float {
+      if (options.nested_ifs) {
+        return RunBlitzSplitRanked<Model, kCards, true>(
+            model, cards, graph, options.cost_threshold, table, instr,
+            options.parallel, resolved, governor, split_kernel);
+      }
+      return RunBlitzSplitRanked<Model, kCards, false>(
+          model, cards, graph, options.cost_threshold, table, instr,
+          options.parallel, resolved, governor, split_kernel);
+    };
     if (options.profile != nullptr) {
       // Performance-observatory pass: phase/rank tick attribution plus
       // survivor tallies, folded into the caller's sink and the global
       // profiler. Takes precedence over count_operations (the profile
       // carries the loop/kappa'' counts itself).
       ProfilingInstrumentation instr;
-      float cost;
-      if (options.nested_ifs) {
-        cost = RunConfigured<Model, kWithPredicates, true>(
-            model, options, resolved, base_cards, graph, table, &instr,
-            governor, split_kernel);
-      } else {
-        cost = RunConfigured<Model, kWithPredicates, false>(
-            model, options, resolved, base_cards, graph, table, &instr,
-            governor, split_kernel);
-      }
-      *options.profile += instr.profile;
-      if (Profiler* profiler = GlobalProfiler()) {
-        profiler->FoldPass(instr.profile);
-      }
-      return cost;
-    }
-    if (options.count_operations) {
-      CountingInstrumentation instr;
-      float cost;
-      if (options.nested_ifs) {
-        cost = RunConfigured<Model, kWithPredicates, true>(
-            model, options, resolved, base_cards, graph, table, &instr,
-            governor, split_kernel);
-      } else {
-        cost = RunConfigured<Model, kWithPredicates, false>(
-            model, options, resolved, base_cards, graph, table, &instr,
-            governor, split_kernel);
-      }
-      if (counters != nullptr) *counters += instr;
-      return cost;
-    }
-    NoInstrumentation no_instr;
-    if (options.nested_ifs) {
-      return RunConfigured<Model, kWithPredicates, true>(
-          model, options, resolved, base_cards, graph, table, &no_instr,
-          governor, split_kernel);
-    }
-    return RunConfigured<Model, kWithPredicates, false>(
-        model, options, resolved, base_cards, graph, table, &no_instr,
-        governor, split_kernel);
-  });
-}
-
-/// Dispatches the external-cards (non-exact estimator) variant: the card
-/// column is preloaded from `all_cards` and the sequential
-/// RunBlitzSplitWithCards driver runs — same threshold pre-skip, SIMD
-/// gate, and governor ticks, no Pi_fan recurrence. Returns the resolved
-/// SIMD level through *simd_level (never kAuto).
-float DispatchWithCards(const OptimizerOptions& options,
-                        const std::vector<double>& all_cards, DpTable* table,
-                        CountingInstrumentation* counters,
-                        GovernorState* governor, SimdLevel* simd_level) {
-  const SplitKernel* split_kernel = nullptr;
-  const SimdLevel simd =
-      ResolvePassSimd(options, table->num_relations(), &split_kernel);
-  if (simd_level != nullptr) *simd_level = simd;
-  RecordSimdMetric(simd);
-  return DispatchCostModel(options.cost_model, [&](auto model) -> float {
-    using Model = decltype(model);
-    const auto run = [&](auto* instr) -> float {
-      if (options.nested_ifs) {
-        return RunBlitzSplitWithCards<Model, true>(
-            model, all_cards, options.cost_threshold, table, instr, governor,
-            split_kernel);
-      }
-      return RunBlitzSplitWithCards<Model, false>(
-          model, all_cards, options.cost_threshold, table, instr, governor,
-          split_kernel);
-    };
-    if (options.profile != nullptr) {
-      ProfilingInstrumentation instr;
       const float cost = run(&instr);
       *options.profile += instr.profile;
       if (Profiler* profiler = GlobalProfiler()) {
@@ -244,7 +164,7 @@ float DispatchWithCards(const OptimizerOptions& options,
     if (options.count_operations) {
       CountingInstrumentation instr;
       const float cost = run(&instr);
-      if (counters != nullptr) *counters += instr;
+      *counters += instr;
       return cost;
     }
     NoInstrumentation no_instr;
@@ -296,6 +216,125 @@ Status ValidateEstimator(const OptimizerOptions& options, int num_relations) {
   return Status::OK();
 }
 
+/// What tells the three entry points' passes apart.
+struct PassSpec {
+  const char* span_name;
+  const char* calls_metric;
+  const char* seconds_metric;
+  const JoinGraph* graph;  ///< Null for the pure Cartesian product.
+  DpTable* in_place;       ///< The caller's table to refill; null acquires.
+};
+
+/// The one pass runner behind OptimizeJoin, OptimizeCartesian and
+/// ReoptimizeJoinInPlace. In order: validate, span, resolve the budget,
+/// AdmitPass, admit and acquire the table (skipped in place), pick the
+/// card source, dispatch, check for an abort, record metrics. An in-place
+/// pass leaves outcome.table empty; its rows are in *spec.in_place.
+Result<OptimizeOutcome> RunPass(const PassSpec& spec, const Catalog& catalog,
+                                const OptimizerOptions& options) {
+  const int n = catalog.num_relations();
+  BLITZ_RETURN_IF_ERROR(options.Validate());
+  if (spec.graph != nullptr) {
+    if (spec.graph->num_relations() != n) {
+      return Status::InvalidArgument(
+          StrFormat("graph has %d relations but catalog has %d",
+                    spec.graph->num_relations(), n));
+    }
+    // OptimizeCartesian has no predicates to estimate over, so only join
+    // passes consult (and validate) the estimator.
+    BLITZ_RETURN_IF_ERROR(ValidateEstimator(options, n));
+  }
+  const CardSource source = spec.graph == nullptr ? CardSource::kProduct
+                            : UsesExactCards(options) ? CardSource::kFanout
+                                                      : CardSource::kPreloaded;
+  const bool with_pi_fan = source == CardSource::kFanout;
+  const bool needs_aux = ModelNeedsAux(options.cost_model);
+  if (spec.in_place != nullptr) {
+    if (spec.in_place->num_relations() != n) {
+      return Status::InvalidArgument("relation-count mismatch");
+    }
+    if (!spec.in_place->has_pi_fan() ||
+        spec.in_place->has_aux() != needs_aux) {
+      return Status::FailedPrecondition(
+          "table columns do not match the requested configuration");
+    }
+    if (!with_pi_fan) {
+      return Status::FailedPrecondition(
+          "in-place reoptimization requires the exact (paper) estimator");
+    }
+  }
+
+  const MetricTimer timer;
+  TraceSpan span(spec.span_name);
+  span.AddArg("n", n);
+  span.AddArg("threshold", options.cost_threshold);
+  // Resolve the budget once so the pass governor and every parallel
+  // worker's governor share one absolute deadline.
+  const ResourceBudget resolved = options.budget.Resolved();
+  GovernorState governor(resolved);
+  BLITZ_RETURN_IF_ERROR(AdmitPass(&governor));
+
+  OptimizeOutcome outcome;
+  DpTable* table = spec.in_place;
+  if (table == nullptr) {
+    if (governor.active()) {
+      Status admitted = governor.AdmitAllocation(
+          DpTable::EstimateBytes(n, with_pi_fan, needs_aux));
+      if (!admitted.ok()) return RecordGovernorAbort(std::move(admitted));
+    }
+    Result<DpTable> acquired =
+        options.table_arena != nullptr
+            ? options.table_arena->Acquire(n, with_pi_fan, needs_aux)
+            : DpTable::Create(n, with_pi_fan, needs_aux);
+    if (!acquired.ok()) return acquired.status();
+    outcome.table = std::move(acquired).value();
+    table = &outcome.table;
+  }
+  if (spec.graph != nullptr) outcome.estimator = ResolvedEstimatorKind(options);
+
+  // Exact passes fuse the Pi_fan recurrence into the DP; non-exact passes
+  // preload the card column from the estimator instead.
+  GovernorState* const pass_governor =
+      governor.active() ? &governor : nullptr;
+  switch (source) {
+    case CardSource::kProduct:
+      outcome.cost = Dispatch<CardSource::kProduct>(
+          options, resolved, BaseCards(catalog), nullptr, table,
+          &outcome.counters, pass_governor, &outcome.simd_level);
+      break;
+    case CardSource::kFanout:
+      outcome.cost = Dispatch<CardSource::kFanout>(
+          options, resolved, BaseCards(catalog), spec.graph, table,
+          &outcome.counters, pass_governor, &outcome.simd_level);
+      break;
+    case CardSource::kPreloaded: {
+      std::vector<double> all_cards;
+      options.estimator->EstimateAll(&all_cards);
+      outcome.cost = Dispatch<CardSource::kPreloaded>(
+          options, resolved, all_cards, nullptr, table, &outcome.counters,
+          pass_governor, &outcome.simd_level);
+      break;
+    }
+  }
+  // A governed abort leaves the table partially overwritten, which is safe
+  // to reuse in place: whether a pass runs sequentially (integer order) or
+  // rank-parallel (every rank rewritten before the next is read), the next
+  // pass rewrites every row before depending on it.
+  if (governor.aborted()) return RecordGovernorAbort(governor.status());
+  span.AddArg("cost", outcome.cost);
+  span.AddArg("simd", static_cast<double>(outcome.simd_level));
+  if (MetricsRegistry* metrics = GlobalMetrics()) {
+    metrics->AddCounter(spec.calls_metric);
+    if (spec.in_place == nullptr) {
+      metrics->MaxGauge("optimizer.peak_dp_table_bytes",
+                        static_cast<double>(table->MemoryBytes()));
+    }
+    metrics->RecordLatency(spec.seconds_metric, timer.ElapsedSeconds());
+    if (options.count_operations) FoldCountersIntoMetrics(outcome.counters);
+  }
+  return outcome;
+}
+
 }  // namespace
 
 SimdLevel EffectivePassSimdLevel(const OptimizerOptions& options,
@@ -315,107 +354,16 @@ Status OptimizerOptions::Validate() const {
 Result<OptimizeOutcome> OptimizeJoin(const Catalog& catalog,
                                      const JoinGraph& graph,
                                      const OptimizerOptions& options) {
-  BLITZ_RETURN_IF_ERROR(options.Validate());
-  if (graph.num_relations() != catalog.num_relations()) {
-    return Status::InvalidArgument(StrFormat(
-        "graph has %d relations but catalog has %d", graph.num_relations(),
-        catalog.num_relations()));
-  }
-  BLITZ_RETURN_IF_ERROR(
-      ValidateEstimator(options, catalog.num_relations()));
-  const MetricTimer timer;
-  TraceSpan span("OptimizeJoin");
-  span.AddArg("n", catalog.num_relations());
-  span.AddArg("threshold", options.cost_threshold);
-  // Resolve the budget once so the pass governor and every parallel
-  // worker's governor share one absolute deadline.
-  const ResourceBudget resolved = options.budget.Resolved();
-  GovernorState governor(resolved);
-  BLITZ_RETURN_IF_ERROR(AdmitPass(&governor));
-  const bool needs_aux = ModelNeedsAux(options.cost_model);
-  // Exact passes fuse the Pi_fan recurrence into the DP (pi_fan column);
-  // non-exact passes preload the card column from the estimator instead.
-  const bool exact_cards = UsesExactCards(options);
-  if (governor.active()) {
-    Status admitted = governor.AdmitAllocation(DpTable::EstimateBytes(
-        catalog.num_relations(), /*with_pi_fan=*/exact_cards, needs_aux));
-    if (!admitted.ok()) return RecordGovernorAbort(std::move(admitted));
-  }
-  Result<DpTable> table =
-      options.table_arena != nullptr
-          ? options.table_arena->Acquire(catalog.num_relations(),
-                                         /*with_pi_fan=*/exact_cards,
-                                         needs_aux)
-          : DpTable::Create(catalog.num_relations(),
-                            /*with_pi_fan=*/exact_cards, needs_aux);
-  if (!table.ok()) return table.status();
-  OptimizeOutcome outcome{std::move(table).value(), kRejectedCost, {}};
-  outcome.estimator = ResolvedEstimatorKind(options);
-  if (exact_cards) {
-    outcome.cost = Dispatch<true>(options, resolved, BaseCards(catalog),
-                                  &graph, &outcome.table, &outcome.counters,
-                                  governor.active() ? &governor : nullptr,
-                                  &outcome.simd_level);
-  } else {
-    std::vector<double> all_cards;
-    options.estimator->EstimateAll(&all_cards);
-    outcome.cost = DispatchWithCards(options, all_cards, &outcome.table,
-                                     &outcome.counters,
-                                     governor.active() ? &governor : nullptr,
-                                     &outcome.simd_level);
-  }
-  if (governor.aborted()) return RecordGovernorAbort(governor.status());
-  span.AddArg("cost", outcome.cost);
-  span.AddArg("simd", static_cast<double>(outcome.simd_level));
-  if (MetricsRegistry* metrics = GlobalMetrics()) {
-    metrics->AddCounter("optimizer.join_calls");
-    metrics->MaxGauge("optimizer.peak_dp_table_bytes",
-                      static_cast<double>(outcome.table.MemoryBytes()));
-    metrics->RecordLatency("optimizer.join_seconds", timer.ElapsedSeconds());
-    if (options.count_operations) FoldCountersIntoMetrics(outcome.counters);
-  }
-  return outcome;
+  return RunPass({"OptimizeJoin", "optimizer.join_calls",
+                  "optimizer.join_seconds", &graph, nullptr},
+                 catalog, options);
 }
 
 Result<OptimizeOutcome> OptimizeCartesian(const Catalog& catalog,
                                           const OptimizerOptions& options) {
-  BLITZ_RETURN_IF_ERROR(options.Validate());
-  const MetricTimer timer;
-  TraceSpan span("OptimizeCartesian");
-  span.AddArg("n", catalog.num_relations());
-  const ResourceBudget resolved = options.budget.Resolved();
-  GovernorState governor(resolved);
-  BLITZ_RETURN_IF_ERROR(AdmitPass(&governor));
-  const bool needs_aux = ModelNeedsAux(options.cost_model);
-  if (governor.active()) {
-    Status admitted = governor.AdmitAllocation(DpTable::EstimateBytes(
-        catalog.num_relations(), /*with_pi_fan=*/false, needs_aux));
-    if (!admitted.ok()) return RecordGovernorAbort(std::move(admitted));
-  }
-  Result<DpTable> table =
-      options.table_arena != nullptr
-          ? options.table_arena->Acquire(catalog.num_relations(),
-                                         /*with_pi_fan=*/false, needs_aux)
-          : DpTable::Create(catalog.num_relations(),
-                            /*with_pi_fan=*/false, needs_aux);
-  if (!table.ok()) return table.status();
-  OptimizeOutcome outcome{std::move(table).value(), kRejectedCost, {}};
-  outcome.cost = Dispatch<false>(options, resolved, BaseCards(catalog),
-                                 nullptr, &outcome.table, &outcome.counters,
-                                 governor.active() ? &governor : nullptr,
-                                 &outcome.simd_level);
-  if (governor.aborted()) return RecordGovernorAbort(governor.status());
-  span.AddArg("cost", outcome.cost);
-  span.AddArg("simd", static_cast<double>(outcome.simd_level));
-  if (MetricsRegistry* metrics = GlobalMetrics()) {
-    metrics->AddCounter("optimizer.cartesian_calls");
-    metrics->MaxGauge("optimizer.peak_dp_table_bytes",
-                      static_cast<double>(outcome.table.MemoryBytes()));
-    metrics->RecordLatency("optimizer.cartesian_seconds",
-                           timer.ElapsedSeconds());
-    if (options.count_operations) FoldCountersIntoMetrics(outcome.counters);
-  }
-  return outcome;
+  return RunPass({"OptimizeCartesian", "optimizer.cartesian_calls",
+                  "optimizer.cartesian_seconds", nullptr, nullptr},
+                 catalog, options);
 }
 
 Result<float> ReoptimizeJoinInPlace(const Catalog& catalog,
@@ -423,46 +371,14 @@ Result<float> ReoptimizeJoinInPlace(const Catalog& catalog,
                                     const OptimizerOptions& options,
                                     DpTable* table,
                                     CountingInstrumentation* counters) {
-  if (graph.num_relations() != catalog.num_relations() ||
-      table->num_relations() != catalog.num_relations()) {
-    return Status::InvalidArgument("relation-count mismatch");
-  }
-  if (!table->has_pi_fan() ||
-      table->has_aux() != ModelNeedsAux(options.cost_model)) {
-    return Status::FailedPrecondition(
-        "table columns do not match the requested configuration");
-  }
-  if (!UsesExactCards(options)) {
-    return Status::FailedPrecondition(
-        "in-place reoptimization requires the exact (paper) estimator");
-  }
-  BLITZ_RETURN_IF_ERROR(options.Validate());
-  const MetricTimer timer;
-  TraceSpan span("ReoptimizeJoinInPlace");
-  span.AddArg("n", catalog.num_relations());
-  span.AddArg("threshold", options.cost_threshold);
-  const ResourceBudget resolved = options.budget.Resolved();
-  GovernorState governor(resolved);
-  BLITZ_RETURN_IF_ERROR(AdmitPass(&governor));
-  // `counters` accumulates across calls; fold only this pass's delta.
-  CountingInstrumentation pass_counters;
-  const float cost = Dispatch<true>(options, resolved, BaseCards(catalog),
-                                    &graph, table, &pass_counters,
-                                    governor.active() ? &governor : nullptr,
-                                    nullptr);
-  // A governed abort leaves the table partially overwritten, which is safe:
-  // whether a pass runs sequentially (integer order) or rank-parallel (every
-  // rank rewritten before the next is read), the next in-place pass rewrites
-  // every row before depending on it.
-  if (governor.aborted()) return RecordGovernorAbort(governor.status());
-  span.AddArg("cost", cost);
-  if (counters != nullptr) *counters += pass_counters;
-  if (MetricsRegistry* metrics = GlobalMetrics()) {
-    metrics->AddCounter("optimizer.reoptimize_calls");
-    metrics->RecordLatency("optimizer.join_seconds", timer.ElapsedSeconds());
-    if (options.count_operations) FoldCountersIntoMetrics(pass_counters);
-  }
-  return cost;
+  Result<OptimizeOutcome> outcome =
+      RunPass({"ReoptimizeJoinInPlace", "optimizer.reoptimize_calls",
+               "optimizer.join_seconds", &graph, table},
+              catalog, options);
+  if (!outcome.ok()) return outcome.status();
+  // `counters` accumulates across calls; the pass reports only its own.
+  if (counters != nullptr) *counters += outcome->counters;
+  return outcome->cost;
 }
 
 Result<LadderOutcome> OptimizeJoinWithThresholds(

@@ -80,9 +80,8 @@ struct OptimizerOptions {
   /// catalog's cardinalities and the graph's selectivities, so the DP
   /// tables, tie-breaks, and operation counts are bit-identical to the
   /// paper's derivation. A non-exact estimator (hist, noest) preloads the
-  /// card column from EstimateAll and runs the external-cards driver:
-  /// sequential only (the rank-parallel driver is not extended to this
-  /// path), no pi_fan column, threshold/SIMD/governor machinery unchanged.
+  /// card column from EstimateAll (CardSource::kPreloaded): no pi_fan
+  /// column; threshold, SIMD, parallel and governor machinery unchanged.
   /// Must cover the catalog's relation count. Not owned; must outlive the
   /// pass. Ignored by OptimizeCartesian (no predicates to estimate over).
   const CardinalityEstimator* estimator = nullptr;
@@ -147,7 +146,9 @@ Result<OptimizeOutcome> OptimizeCartesian(const Catalog& catalog,
 /// across the repetitions of a timing loop or the passes of a threshold
 /// ladder). The table's columns must match the options and problem shape.
 /// Requires the default/exact estimator (the in-place contract is defined
-/// over pi_fan tables); a non-exact estimator is kFailedPrecondition.
+/// over pi_fan tables); a non-exact estimator is kFailedPrecondition. As
+/// for OptimizeJoin, an estimator over another relation count is
+/// kInvalidArgument.
 Result<float> ReoptimizeJoinInPlace(const Catalog& catalog,
                                     const JoinGraph& graph,
                                     const OptimizerOptions& options,

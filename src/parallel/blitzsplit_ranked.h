@@ -115,36 +115,38 @@ struct alignas(64) PaddedInstr {
 /// SplitScratch (threads x 2^n x 8 bytes, allocated once per pass and only
 /// when a kernel is active).
 ///
-/// Requirements are those of RunBlitzSplit, plus
-/// options.EffectiveThreads() >= 1. Problems where no rank reaches
-/// min_parallel_rank fall back to the sequential driver wholesale.
-template <typename CostModel, bool kWithPredicates, bool kNestedIfs = true,
+/// Requirements and the `cards` contract are those of RunBlitzSplit (every
+/// CardSource), plus options.EffectiveThreads() >= 1. This is the one
+/// place a pass decides "parallel or not": problems where no rank reaches
+/// min_parallel_rank, or a single effective thread, fall back to the
+/// sequential driver wholesale.
+template <typename CostModel, CardSource kCards, bool kNestedIfs = true,
           typename Instr = NoInstrumentation>
 BLITZ_NOINLINE float RunBlitzSplitRanked(const CostModel& model,
-                          const std::vector<double>& base_cards,
+                          const std::vector<double>& cards,
                           const JoinGraph* graph, float cost_threshold,
                           DpTable* table, Instr* instr,
                           const ParallelOptimizerOptions& options,
                           const ResourceBudget& budget,
                           GovernorState* governor = nullptr,
                           const SplitKernel* split_kernel = nullptr) {
-  const int n = static_cast<int>(base_cards.size());
+  const int n = table->num_relations();
   if (!options.ShouldParallelize(n)) {
-    return RunBlitzSplit<CostModel, kWithPredicates, kNestedIfs>(
-        model, base_cards, graph, cost_threshold, table, instr, governor,
+    return RunBlitzSplit<CostModel, kCards, kNestedIfs>(
+        model, cards, graph, cost_threshold, table, instr, governor,
         split_kernel);
   }
-  internal::BlitzCheckPass<CostModel, kWithPredicates>(base_cards, graph,
-                                                       *table);
+  internal::BlitzCheckPass<CostModel, kCards>(cards, graph, *table);
 
   float* const cost = table->cost_data();
   double* const card = table->card_data();
   std::uint32_t* const best = table->best_lhs_data();
-  double* const pi_fan = kWithPredicates ? table->pi_fan_data() : nullptr;
+  double* const pi_fan =
+      kCards == CardSource::kFanout ? table->pi_fan_data() : nullptr;
   double* const aux = CostModel::kNeedsAux ? table->aux_data() : nullptr;
 
-  internal::BlitzInitSingletons<CostModel, kWithPredicates>(
-      base_cards, cost, card, best, pi_fan, aux);
+  internal::BlitzInitSingletons<CostModel, kCards>(cards, n, cost, card,
+                                                   best, pi_fan, aux);
   const std::uint64_t full = (std::uint64_t{1} << n) - 1;
 
   const int threads = options.EffectiveThreads();
@@ -166,7 +168,7 @@ BLITZ_NOINLINE float RunBlitzSplitRanked(const CostModel& model,
   if (scratches.empty()) split_kernel = nullptr;
 
   const auto process = [&](std::uint64_t s, Instr* i, SplitScratch* sc) {
-    internal::BlitzProcessSubset<CostModel, kWithPredicates, kNestedIfs>(
+    internal::BlitzProcessSubset<CostModel, kCards, kNestedIfs>(
         model, graph, cost_threshold, s, cost, card, best, pi_fan, aux, i,
         split_kernel, sc);
   };

@@ -225,6 +225,37 @@ CaseVerdict RunDifferentialCase(const FuzzCase& c,
     return verdict;
   };
 
+  // The (threads x simd) grid: every combination must reproduce `base` —
+  // the same model and estimator at one thread, scalar — bit for bit, with
+  // identical folded counters. False (with the verdict filled) on failure.
+  const auto grid_matches = [&](CostModelKind model,
+                                const CardinalityEstimator* estimator,
+                                const OptimizeOutcome& base,
+                                const std::string& extra) {
+    for (const int threads : options.thread_counts) {
+      for (const SimdLevel simd : options.simd_levels) {
+        if (threads == 1 && simd == SimdLevel::kScalar) continue;
+        const std::string config =
+            ConfigName(model, threads, simd, extra.c_str());
+        OptimizerOptions grid_options = MakeOptions(model, threads, simd);
+        grid_options.estimator = estimator;
+        Result<OptimizeOutcome> outcome =
+            OptimizeJoin(c.catalog, c.graph, grid_options);
+        if (!outcome.ok()) {
+          fail(config, "run failed: " + outcome.status().ToString());
+          return false;
+        }
+        OracleVerdict v = TablesBitIdentical(outcome->table, base.table);
+        if (v.ok) v = CountersIdentical(outcome->counters, base.counters);
+        if (!v.ok) {
+          fail(config, v.message);
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+
   const int n = c.catalog.num_relations();
   for (const CostModelKind model : options.cost_models) {
     // Reference configuration: sequential, scalar, unbounded.
@@ -279,36 +310,14 @@ CaseVerdict RunDifferentialCase(const FuzzCase& c,
       }
     }
 
-    // The (threads x simd) grid: every combination must reproduce the
-    // reference table bit for bit, with identical folded counters.
-    for (const int threads : options.thread_counts) {
-      for (const SimdLevel simd : options.simd_levels) {
-        if (threads == 1 && simd == SimdLevel::kScalar) continue;
-        Result<OptimizeOutcome> outcome =
-            OptimizeJoin(c.catalog, c.graph, MakeOptions(model, threads,
-                                                         simd));
-        if (!outcome.ok()) {
-          return fail(ConfigName(model, threads, simd),
-                      "run failed: " + outcome.status().ToString());
-        }
-        const OracleVerdict tables =
-            TablesBitIdentical(outcome->table, reference->table);
-        if (!tables.ok) {
-          return fail(ConfigName(model, threads, simd), tables.message);
-        }
-        const OracleVerdict counters =
-            CountersIdentical(outcome->counters, reference->counters);
-        if (!counters.ok) {
-          return fail(ConfigName(model, threads, simd), counters.message);
-        }
-      }
-    }
+    if (!grid_matches(model, nullptr, *reference, "")) return verdict;
 
     // Estimator seam: the exact estimator must be indistinguishable from
-    // running without one (bit-identical table and counters); non-exact
-    // kinds take the preloaded-card path and must still land on a plan
-    // covering every relation with a finite positive cost under the true
-    // statistics.
+    // running without one (bit-identical table and counters), so the grid
+    // above already covers it. Non-exact kinds take the preloaded-card path
+    // and must still land on a plan covering every relation with a finite
+    // positive cost under the true statistics, then reproduce that run bit
+    // for bit across the (threads x simd) grid.
     for (const EstimatorKind kind : options.estimators) {
       std::unique_ptr<CardinalityEstimator> estimator =
           MakeCaseEstimator(c, kind);
@@ -349,6 +358,9 @@ CaseVerdict RunDifferentialCase(const FuzzCase& c,
         return fail(config,
                     StrFormat("plan recost under true statistics is %g",
                               true_cost));
+      }
+      if (!grid_matches(model, estimator.get(), *outcome, extra)) {
+        return verdict;
       }
     }
 

@@ -34,10 +34,12 @@ struct DifferentialOptions {
   int brute_force_max_n = 12;
   /// Estimator seam sweep (fuzz_blitzsplit --estimators=). kPaperFanout is
   /// exact, so its run must reproduce the estimator-less reference DP table
-  /// and counters bit for bit; non-exact kinds (hist, noest) take the
-  /// preloaded-card path and are held to valid-plan invariants instead: the
-  /// run succeeds, the plan covers every relation, and its cost under the
-  /// *true* statistics is positive and finite. Empty disables the leg.
+  /// and counters bit for bit. Non-exact kinds (hist, noest) take the
+  /// preloaded-card path: their one-thread scalar run is held to valid-plan
+  /// invariants (the run succeeds, the plan covers every relation, and its
+  /// cost under the *true* statistics is positive and finite), and every
+  /// other (thread_counts x simd_levels) combination must reproduce that
+  /// run's table and counters bit for bit. Empty disables the leg.
   std::vector<EstimatorKind> estimators = {EstimatorKind::kPaperFanout};
   /// Plan-cache reuse leg (fuzz_blitzsplit --no-plan-cache to disable):
   /// the case is driven through a serving-tier PlanCache cold, warm, and

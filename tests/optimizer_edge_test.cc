@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "card/paper_fanout.h"
 #include "core/optimizer.h"
 #include "plan/plan.h"
 #include "test_util.h"
@@ -110,6 +111,27 @@ TEST(OptimizerEdgeTest, CountersOffLeavesZeros) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->counters.loop_iterations, 0u);
   EXPECT_EQ(outcome->counters.subsets_visited, 0u);
+}
+
+TEST(OptimizerEdgeTest, InPlaceRejectsEstimatorOfAnotherRelationCount) {
+  // ReoptimizeJoinInPlace validates the estimator exactly like OptimizeJoin:
+  // an estimator built over a different relation count is an invalid
+  // argument, even an exact one the in-place pass would otherwise accept.
+  const auto instance = blitz::testing::MakeRandomInstance(6, 1);
+  const auto other = blitz::testing::MakeRandomInstance(5, 1);
+  const PaperFanoutEstimator mismatched(other.catalog, other.graph);
+  OptimizerOptions options;
+  options.estimator = &mismatched;
+  EXPECT_EQ(OptimizeJoin(instance.catalog, instance.graph, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  Result<OptimizeOutcome> outcome =
+      OptimizeJoin(instance.catalog, instance.graph, OptimizerOptions{});
+  ASSERT_TRUE(outcome.ok());
+  Result<float> again = ReoptimizeJoinInPlace(
+      instance.catalog, instance.graph, options, &outcome->table, nullptr);
+  EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

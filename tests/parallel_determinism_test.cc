@@ -6,13 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "card/histogram.h"
+#include "card/no_estimate.h"
 #include "core/dp_table.h"
 #include "core/optimizer.h"
+#include "exec/datagen.h"
+#include "exec/relation.h"
+#include "exec/stats.h"
+#include "obs/metrics.h"
 #include "plan/plan.h"
+#include "query/workload.h"
 #include "test_util.h"
 #include "testing/fuzzer.h"
+#include "testing/oracles.h"
 
 namespace blitz {
 namespace {
@@ -247,6 +258,77 @@ TEST(ParallelDeterminismTest, AutoThreadCountIsValidConfiguration) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->cost, baseline->cost);
   ExpectTablesBitIdentical(&outcome->table, &baseline->table);
+}
+
+/// Installs a metrics registry for the test's scope.
+struct ScopedMetrics {
+  ScopedMetrics() { SetGlobalMetrics(&registry); }
+  ~ScopedMetrics() { SetGlobalMetrics(nullptr); }
+  std::uint64_t Counter(std::string_view name) const {
+    for (const auto& [counter, value] : registry.TakeSnapshot().counters) {
+      if (counter == name) return value;
+    }
+    return 0;
+  }
+  MetricsRegistry registry;
+};
+
+TEST(ParallelDeterminismTest, NonExactEstimatorsRunRankParallel) {
+  // Preloaded cardinalities (hist, noest) run through the same
+  // rank-synchronous driver as the exact derivation: every (threads x simd)
+  // combination must land on the estimator's own sequential scalar table
+  // with identical counters, and every such pass must be a ranked pass.
+  WorkloadSpec spec;
+  spec.num_relations = 14;
+  spec.topology = Topology::kCyclePlus3;
+  spec.mean_cardinality = 1e3;
+  spec.variability = 0.5;
+  Result<Workload> w = MakeWorkload(spec);
+  ASSERT_TRUE(w.ok());
+  NoEstimateEstimator no_estimate(w->graph);
+  Result<std::vector<ExecTable>> tables =
+      GenerateTables(w->catalog, w->graph, DataGenOptions{});
+  ASSERT_TRUE(tables.ok());
+  Result<std::unique_ptr<SampleHistogramEstimator>> histogram =
+      BuildHistogramEstimator(w->graph, *tables);
+  ASSERT_TRUE(histogram.ok());
+
+  ScopedMetrics metrics;
+  for (const CardinalityEstimator* estimator :
+       {static_cast<const CardinalityEstimator*>(&no_estimate),
+        static_cast<const CardinalityEstimator*>(histogram->get())}) {
+    OptimizerOptions reference =
+        ParallelOptions(CostModelKind::kSortMerge, 1, /*min_rank=*/1);
+    reference.simd = SimdLevel::kScalar;
+    reference.estimator = estimator;
+    Result<OptimizeOutcome> baseline =
+        OptimizeJoin(w->catalog, w->graph, reference);
+    ASSERT_TRUE(baseline.ok()) << estimator->name();
+    ASSERT_EQ(baseline->estimator, estimator->kind());
+    for (const int threads : {2, 4}) {
+      for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kBlock}) {
+        OptimizerOptions options =
+            ParallelOptions(CostModelKind::kSortMerge, threads,
+                            /*min_rank=*/1);
+        options.simd = level;
+        options.estimator = estimator;
+        const std::uint64_t passes = metrics.Counter("parallel.passes");
+        Result<OptimizeOutcome> outcome =
+            OptimizeJoin(w->catalog, w->graph, options);
+        ASSERT_TRUE(outcome.ok()) << estimator->name();
+        const std::string config = std::string(estimator->name()) +
+                                   " threads=" + std::to_string(threads) +
+                                   " simd=" + SimdLevelName(level);
+        EXPECT_EQ(metrics.Counter("parallel.passes"), passes + 1) << config;
+        const fuzz::OracleVerdict identical =
+            fuzz::TablesBitIdentical(outcome->table, baseline->table);
+        EXPECT_TRUE(identical.ok) << config << ": " << identical.message;
+        EXPECT_EQ(outcome->counters.ToString(),
+                  baseline->counters.ToString())
+            << config;
+      }
+    }
+  }
 }
 
 }  // namespace
