@@ -133,7 +133,8 @@ int Run() {
         HybridOptions options;
         options.block_size = 10;
         options.restarts = 2;
-        Result<HybridResult> r = OptimizeHybrid(catalog, graph, options);
+        Result<HybridResult> r =
+            OptimizeHybrid(catalog, graph, OptimizerOptions{}, options);
         return r.ok() ? MethodResult{true, r->cost, 0} : MethodResult{};
       });
 

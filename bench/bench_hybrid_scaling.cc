@@ -50,8 +50,9 @@ int Run() {
     double hybrid_cost = 0;
     const TimingResult hybrid_time = TimeIt(
         [&] {
-          Result<HybridResult> result = OptimizeHybrid(
-              workload->catalog, workload->graph, hybrid_options);
+          Result<HybridResult> result =
+              OptimizeHybrid(workload->catalog, workload->graph,
+                             OptimizerOptions{}, hybrid_options);
           if (result.ok()) hybrid_cost = result->cost;
         },
         min_seconds);

@@ -288,6 +288,8 @@ int main(int argc, char** argv) {
   options.cost_model = spec->cost_model;
   options.exhaustive_limit = exhaustive_limit;
   options.initial_cost_threshold = spec->threshold;
+  // Always collected: the summary line prints the resolved SIMD level and
+  // any degradation steps from the report.
   options.collect_report = true;
   options.count_operations = counts;
   // --profile opts the DP passes into the per-phase attribution pass (the
@@ -358,17 +360,10 @@ int main(int argc, char** argv) {
               optimized->passes == 1 ? "" : "es",
               OptimizerTierName(optimized->tier),
               optimized->exact() ? ", exact" : "",
-              optimized->report.has_value()
-                  ? SimdLevelName(optimized->report->simd_level)
-                  : SimdLevelName(EffectivePassSimdLevel(
-                        options.Normalized().exhaustive,
-                        spec->catalog.num_relations())),
+              SimdLevelName(optimized->report->simd_level),
               EstimatorKindName(estimator_kind));
-  if (optimized->report.has_value() &&
-      !optimized->report->degradations.empty()) {
-    for (const std::string& step : optimized->report->degradations) {
-      std::printf("degraded: %s\n", step.c_str());
-    }
+  for (const std::string& step : optimized->report->degradations) {
+    std::printf("degraded: %s\n", step.c_str());
   }
   std::vector<double> base_cards(spec->catalog.num_relations());
   for (int i = 0; i < spec->catalog.num_relations(); ++i) {
@@ -377,11 +372,11 @@ int main(int argc, char** argv) {
   std::printf("estimated result cardinality: %g\n",
               FanoutJoinCardinality(spec->graph, spec->catalog.AllRelations(),
                                     base_cards));
-  if (counts && optimized->report.has_value()) {
+  if (counts) {
     std::printf("operation counts: %s\n",
                 optimized->report->counters.ToString().c_str());
   }
-  if (show_report && optimized->report.has_value()) {
+  if (show_report) {
     std::printf("report: %s\n", optimized->ReportToString().c_str());
   }
 

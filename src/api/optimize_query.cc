@@ -42,6 +42,24 @@ bool IsDegradable(const Status& status) {
          status.code() == StatusCode::kDeadlineExceeded;
 }
 
+/// The call's one blitzsplit pass, built from the top-level knobs: the
+/// exhaustive tier runs it and the hybrid tier configures its block solves
+/// from it. `profile` is the per-phase DP attribution sink (null unless a
+/// profile was requested; a null sink compiles the hooks out).
+OptimizerOptions PassOptions(const QueryOptimizerOptions& options,
+                             PassProfile* profile) {
+  OptimizerOptions pass;
+  pass.cost_model = options.cost_model;
+  pass.count_operations = options.collect_report && options.count_operations;
+  pass.budget = options.budget;
+  pass.parallel = options.parallel;
+  pass.simd = options.simd;
+  pass.profile = profile;
+  pass.estimator = options.estimator;
+  pass.table_arena = options.table_arena;
+  return pass;
+}
+
 }  // namespace
 
 const char* OptimizerTierName(OptimizerTier tier) {
@@ -101,42 +119,23 @@ Status QueryOptimizerOptions::Validate() const {
     return Status::InvalidArgument(
         "initial_cost_threshold must be positive when set");
   }
-  BLITZ_RETURN_IF_ERROR(exhaustive.Validate());
-  BLITZ_RETURN_IF_ERROR(hybrid.Validate());
-  return parallel.Validate();
-}
-
-QueryOptimizerOptions QueryOptimizerOptions::Normalized() const {
-  QueryOptimizerOptions out = *this;
-  out.exhaustive.cost_model = cost_model;
-  out.exhaustive.count_operations = collect_report && count_operations;
-  out.exhaustive.budget = budget;
-  out.exhaustive.parallel = parallel;
-  out.exhaustive.simd = simd;
-  out.exhaustive.table_arena = table_arena;
-  out.exhaustive.estimator = estimator;
-  out.hybrid.cost_model = cost_model;
-  out.hybrid.budget = budget;
-  out.hybrid.parallel = parallel;
-  out.hybrid.simd = simd;
-  out.hybrid.estimator = estimator;
-  return out;
+  BLITZ_RETURN_IF_ERROR(parallel.Validate());
+  return hybrid.Validate();
 }
 
 Result<OptimizedQuery> OptimizeQuery(const Catalog& catalog,
                                      const JoinGraph& graph,
-                                     const QueryOptimizerOptions& raw_options) {
+                                     const QueryOptimizerOptions& options) {
   if (graph.num_relations() != catalog.num_relations()) {
     return Status::InvalidArgument("catalog/graph relation-count mismatch");
   }
-  BLITZ_RETURN_IF_ERROR(raw_options.Validate());
-  if (raw_options.estimator != nullptr &&
-      raw_options.estimator->num_relations() != catalog.num_relations()) {
+  BLITZ_RETURN_IF_ERROR(options.Validate());
+  if (options.estimator != nullptr &&
+      options.estimator->num_relations() != catalog.num_relations()) {
     return Status::InvalidArgument(StrFormat(
         "estimator covers %d relations but the catalog has %d",
-        raw_options.estimator->num_relations(), catalog.num_relations()));
+        options.estimator->num_relations(), catalog.num_relations()));
   }
-  QueryOptimizerOptions options = raw_options.Normalized();
 
   const MetricTimer total_timer;
   TraceSpan span("OptimizeQuery", "api");
@@ -148,19 +147,18 @@ Result<OptimizedQuery> OptimizeQuery(const Catalog& catalog,
 
   OptimizedQuery result;
   OptimizeReport report;
-  // Per-phase DP attribution sink; wired into the exhaustive tier's pass
-  // options only when requested (a null sink compiles the hooks out).
+  // Per-phase DP attribution sink; wired into the pass only when requested.
   PassProfile dp_profile;
   const bool profile_requested =
       options.collect_report && options.collect_profile;
-  if (profile_requested) options.exhaustive.profile = &dp_profile;
+  const OptimizerOptions pass =
+      PassOptions(options, profile_requested ? &dp_profile : nullptr);
   // The per-pass kernel choice: every tier's DP passes share one resolved
   // request, so resolve it once up front (the exhaustive tier re-reports
   // its pass's actual level, which matches — including the flat-ablation,
   // gate-tightness, and minimum-n refinements folded into
   // EffectivePassSimdLevel).
-  report.simd_level =
-      EffectivePassSimdLevel(options.exhaustive, catalog.num_relations());
+  report.simd_level = EffectivePassSimdLevel(pass, catalog.num_relations());
   report.estimator = options.estimator != nullptr
                          ? options.estimator->kind()
                          : EstimatorKind::kPaperFanout;
@@ -186,13 +184,13 @@ Result<OptimizedQuery> OptimizeQuery(const Catalog& catalog,
         ThresholdLadderOptions thresholds;
         thresholds.initial_threshold = *options.initial_cost_threshold;
         Result<LadderOutcome> laddered = OptimizeJoinWithThresholds(
-            catalog, graph, options.exhaustive, thresholds);
+            catalog, graph, pass, thresholds);
         if (!laddered.ok()) return laddered.status();
         result.passes = laddered->passes;
         report.thresholds_tried = std::move(laddered->thresholds_tried);
         outcome = std::move(laddered->outcome);
       } else {
-        outcome = OptimizeJoin(catalog, graph, options.exhaustive);
+        outcome = OptimizeJoin(catalog, graph, pass);
         if (!outcome.ok()) return outcome.status();
       }
     }
@@ -214,7 +212,7 @@ Result<OptimizedQuery> OptimizeQuery(const Catalog& catalog,
   const auto run_hybrid = [&]() -> Status {
     PhaseTimer phase(options.collect_report, &report.optimize_seconds);
     Result<HybridResult> outcome =
-        OptimizeHybrid(catalog, graph, options.hybrid);
+        OptimizeHybrid(catalog, graph, pass, options.hybrid);
     if (!outcome.ok()) return outcome.status();
     result.plan = std::move(outcome->plan);
     return Status::OK();

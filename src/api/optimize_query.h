@@ -33,11 +33,11 @@ const char* OptimizerTierName(OptimizerTier tier);
 
 /// One-call configuration for the top-level entry point.
 ///
-/// Cross-cutting knobs (cost_model, budget, parallel, count_operations) are
-/// declared once here and stamped into the embedded per-tier sub-structs by
-/// Normalized() — callers set them in one place and every tier sees the
-/// same values. Tier-specific knobs (nested_ifs, block_size, restarts, ...)
-/// live on the sub-structs and are honored as-is.
+/// Every knob is declared once. OptimizeQuery builds one OptimizerOptions
+/// pass from the top-level knobs (nested ifs on, no single-pass threshold):
+/// the exhaustive tier runs it, and the hybrid tier's block solves take its
+/// cost_model, budget, parallel and simd (see OptimizeHybrid). `hybrid`
+/// holds only the hybrid tier's search knobs.
 struct QueryOptimizerOptions {
   CostModelKind cost_model = CostModelKind::kNaive;
 
@@ -49,13 +49,7 @@ struct QueryOptimizerOptions {
   /// ladder starting at this value.
   std::optional<float> initial_cost_threshold;
 
-  /// Tier-specific configuration of the exhaustive path (nested_ifs and
-  /// friends). Cross-cutting fields here are overwritten by Normalized().
-  OptimizerOptions exhaustive;
-
-  /// Tier-specific configuration of the fallback for n > exhaustive_limit
-  /// (block_size, restarts, seed, polish). Cross-cutting fields here are
-  /// overwritten by Normalized().
+  /// Search knobs of the fallback for n > exhaustive_limit.
   HybridOptions hybrid;
 
   /// Multicore configuration shared by every tier's DP passes (sequential
@@ -117,14 +111,9 @@ struct QueryOptimizerOptions {
   /// tier's budget error is returned as-is.
   bool degrade_on_budget = true;
 
-  /// Canonical validation of the whole option tree: the top-level knobs
-  /// plus (via one chain) OptimizerOptions::Validate(),
-  /// HybridOptions::Validate(), and ParallelOptimizerOptions::Validate().
+  /// Canonical validation of the whole option tree: the top-level knobs,
+  /// ParallelOptimizerOptions::Validate(), and HybridOptions::Validate().
   Status Validate() const;
-
-  /// Returns a copy with the cross-cutting knobs stamped into the embedded
-  /// sub-structs — the single source of truth OptimizeQuery actually runs.
-  QueryOptimizerOptions Normalized() const;
 };
 
 /// Per-query observability report (attached when collect_report is set).

@@ -92,38 +92,40 @@ Status HybridOptions::Validate() const {
   if (polish_moves < 0) {
     return Status::InvalidArgument("polish_moves must be non-negative");
   }
-  return parallel.Validate();
+  return Status::OK();
 }
 
 Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
                                     const JoinGraph& graph,
-                                    const HybridOptions& options) {
+                                    const OptimizerOptions& pass,
+                                    const HybridOptions& search) {
   const int n = catalog.num_relations();
   if (graph.num_relations() != n) {
     return Status::InvalidArgument("catalog/graph relation-count mismatch");
   }
-  BLITZ_RETURN_IF_ERROR(options.Validate());
+  BLITZ_RETURN_IF_ERROR(search.Validate());
+  BLITZ_RETURN_IF_ERROR(pass.parallel.Validate());
   // Fault point: fail the whole hybrid tier deterministically so the
   // degradation ladder's hybrid -> greedy step is testable.
   if (std::optional<FaultSpec> fault = FaultHit(kFaultHybridRun)) {
     if (fault->kind == FaultKind::kFailStatus) return fault->status;
   }
   // One shared clock for every restart, block solve, and polish loop.
-  const ResourceBudget budget = options.budget.Resolved();
+  const ResourceBudget budget = pass.budget.Resolved();
   GovernorState governor(budget);
   if (governor.active() && governor.CheckNow()) return governor.status();
 
   const MetricTimer timer;
   TraceSpan span("OptimizeHybrid");
   span.AddArg("n", n);
-  span.AddArg("restarts", options.restarts);
+  span.AddArg("restarts", search.restarts);
 
   // The cardinality seam: null or exact keeps the Section 5.1 unit
   // statistics verbatim; a non-exact estimator replaces every cardinality,
   // pair selectivity, and candidate-plan cost the search reads.
   const CardinalityEstimator* est =
-      (options.estimator != nullptr && !options.estimator->exact())
-          ? options.estimator
+      (pass.estimator != nullptr && !pass.estimator->exact())
+          ? pass.estimator
           : nullptr;
   if (est != nullptr && est->num_relations() != n) {
     return Status::InvalidArgument("estimator/catalog relation-count mismatch");
@@ -137,18 +139,18 @@ Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
 
   const auto plan_cost = [&](const Plan& plan) {
     return est != nullptr
-               ? EvaluateCost(plan, *est, options.cost_model)
-               : EvaluateCost(plan, catalog, graph, options.cost_model);
+               ? EvaluateCost(plan, *est, pass.cost_model)
+               : EvaluateCost(plan, catalog, graph, pass.cost_model);
   };
 
-  Rng rng(options.seed);
+  Rng rng(search.seed);
   HybridResult best;
   best.cost = std::numeric_limits<double>::infinity();
   bool budget_exhausted = false;
 
   auto polish = [&](Plan* plan, double* cost) {
-    if (!options.polish || n < 3) return;
-    for (int move = 0; move < options.polish_moves; ++move) {
+    if (!search.polish || n < 3) return;
+    for (int move = 0; move < search.polish_moves; ++move) {
       Plan candidate = plan->Clone();
       if (!ApplyRandomMove(&candidate, &rng)) break;
       const double candidate_cost = plan_cost(candidate);
@@ -159,11 +161,11 @@ Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
     }
   };
 
-  if (options.seed_with_greedy && n >= 2) {
+  if (search.seed_with_greedy && n >= 2) {
     Result<GreedyResult> greedy =
-        OptimizeGreedy(catalog, graph, options.cost_model,
+        OptimizeGreedy(catalog, graph, pass.cost_model,
                        GreedyCriterion::kMinOutputCardinality,
-                       options.estimator);
+                       pass.estimator);
     if (greedy.ok()) {
       double cost = greedy->cost;
       Plan plan = std::move(greedy->plan);
@@ -175,7 +177,7 @@ Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
     }
   }
 
-  for (int restart = 0; restart < options.restarts; ++restart) {
+  for (int restart = 0; restart < search.restarts; ++restart) {
     // If the budget ran out, return what the finished restarts found (a
     // valid plan beats an error) — fail only when nothing completed yet.
     if (governor.active() && governor.CheckNow()) {
@@ -194,7 +196,7 @@ Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
     while (units.size() > 1) {
       const std::vector<size_t> block = PickBlock(
           units, graph,
-          std::min<int>(options.block_size,
+          std::min<int>(search.block_size,
                         static_cast<int>(units.size())),
           &rng);
 
@@ -225,10 +227,10 @@ Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
       // Exact bushy-with-products solve of the block, governed by the
       // run-wide budget (absolute deadline, per-table memory cap).
       OptimizerOptions dp_options;
-      dp_options.cost_model = options.cost_model;
+      dp_options.cost_model = pass.cost_model;
       dp_options.budget = budget;
-      dp_options.parallel = options.parallel;
-      dp_options.simd = options.simd;
+      dp_options.parallel = pass.parallel;
+      dp_options.simd = pass.simd;
       Result<OptimizeOutcome> outcome =
           OptimizeJoin(*block_catalog, block_graph, dp_options);
       if (!outcome.ok()) {
@@ -286,7 +288,7 @@ Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
   if (MetricsRegistry* metrics = GlobalMetrics()) {
     metrics->AddCounter("hybrid.calls");
     metrics->AddCounter("hybrid.restarts",
-                        static_cast<std::uint64_t>(options.restarts));
+                        static_cast<std::uint64_t>(search.restarts));
     metrics->AddCounter("hybrid.dp_invocations",
                         static_cast<std::uint64_t>(best.dp_invocations));
     metrics->RecordLatency("hybrid.seconds", timer.ElapsedSeconds());

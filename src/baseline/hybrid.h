@@ -3,22 +3,18 @@
 
 #include <cstdint>
 
-#include "card/estimator.h"
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "cost/cost_model.h"
-#include "governor/budget.h"
-#include "parallel/parallel_options.h"
+#include "core/optimizer.h"
 #include "plan/plan.h"
 #include "query/join_graph.h"
-#include "simd/dispatch.h"
 
 namespace blitz {
 
-/// Options for the hybrid randomized/DP optimizer.
+/// Search knobs of the hybrid randomized/DP optimizer. The pass knobs (cost
+/// model, budget, parallel, SIMD, estimator) come from OptimizeHybrid's
+/// OptimizerOptions argument.
 struct HybridOptions {
-  CostModelKind cost_model = CostModelKind::kNaive;
-
   /// Maximum relations handed to one exact blitzsplit invocation. The
   /// per-round cost is O(3^block_size); 10-14 is a good range.
   int block_size = 12;
@@ -38,35 +34,9 @@ struct HybridOptions {
   /// plain greedy heuristic.
   bool seed_with_greedy = true;
 
-  /// Resource limits for the whole hybrid run (inactive by default). The
-  /// deadline is resolved once at entry and shared by every restart, block
-  /// solve, and polish loop; the memory cap governs each block's DP table.
-  /// On exhaustion the call returns DeadlineExceeded / ResourceExhausted /
-  /// Cancelled — it does not fall back itself (OptimizeQuery's degradation
-  /// ladder owns that policy).
-  ResourceBudget budget;
-
-  /// Multicore configuration forwarded to every exact block solve; blocks
-  /// of the default size stay sequential (see ParallelOptimizerOptions).
-  ParallelOptimizerOptions parallel;
-
-  /// SIMD kernel request forwarded to every exact block solve (see
-  /// simd/dispatch.h; kAuto = cpuid probe + BLITZ_SIMD override).
-  SimdLevel simd = SimdLevel::kAuto;
-
-  /// Cardinality estimator (card/estimator.h). Null or exact keeps the
-  /// Section 5.1 unit statistics (FanoutJoinCardinality / PiSpan) verbatim. A
-  /// non-exact estimator supplies every unit cardinality, unit-pair
-  /// selectivity, and candidate-plan cost the search consumes — the block
-  /// DPs then run exactly over those *estimated* unit statistics, and
-  /// HybridResult::cost is the estimated cost of the winner (re-evaluate
-  /// under the true model to measure regret). Not owned; must outlive the
-  /// call.
-  const CardinalityEstimator* estimator = nullptr;
-
-  /// Canonical validation of every knob (block_size in [2, kMaxRelations],
-  /// at least one restart, non-negative polish budget, valid parallel
-  /// options); called by OptimizeHybrid before any work.
+  /// Validates the search knobs (block_size in [2, kMaxRelations], at least
+  /// one restart, non-negative polish budget); called by OptimizeHybrid
+  /// before any work.
   Status Validate() const;
 };
 
@@ -96,9 +66,21 @@ struct HybridResult {
 /// For num_relations <= block_size this reduces to a single exact
 /// blitzsplit run. Unlike the exhaustive optimizer, results for larger
 /// inputs are not guaranteed optimal.
+///
+/// `pass` supplies the run-wide knobs. cost_model prices every block DP,
+/// polish move and candidate plan. budget is resolved once at entry and
+/// shared by every restart, block solve and polish loop (the memory cap
+/// governs each block's DP table); on exhaustion the call returns
+/// DeadlineExceeded / ResourceExhausted / Cancelled and leaves fallback to
+/// OptimizeQuery's degradation ladder. A non-exact estimator supplies every
+/// unit cardinality, unit-pair selectivity and candidate-plan cost, so
+/// HybridResult::cost is then an estimated cost; null or exact keeps the
+/// Section 5.1 unit statistics verbatim. The block solves take exactly
+/// cost_model, the resolved budget, parallel and simd from `pass`.
 Result<HybridResult> OptimizeHybrid(const Catalog& catalog,
                                     const JoinGraph& graph,
-                                    const HybridOptions& options);
+                                    const OptimizerOptions& pass,
+                                    const HybridOptions& search);
 
 }  // namespace blitz
 

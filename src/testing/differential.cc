@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "baseline/greedy.h"
 #include "card/histogram.h"
 #include "card/no_estimate.h"
 #include "card/paper_fanout.h"
@@ -315,9 +316,12 @@ CaseVerdict RunDifferentialCase(const FuzzCase& c,
     // Estimator seam: the exact estimator must be indistinguishable from
     // running without one (bit-identical table and counters), so the grid
     // above already covers it. Non-exact kinds take the preloaded-card path
-    // and must still land on a plan covering every relation with a finite
-    // positive cost under the true statistics, then reproduce that run bit
-    // for bit across the (threads x simd) grid.
+    // and must land on a plan covering every relation with a finite
+    // positive cost under the true statistics — or, when every plan's
+    // estimated cost overflows float (Section 6.3), find none, which the
+    // greedy plan under the same estimator must confirm by costing at or
+    // above the overflow band. Either way the run must reproduce bit for
+    // bit across the (threads x simd) grid.
     for (const EstimatorKind kind : options.estimators) {
       std::unique_ptr<CardinalityEstimator> estimator =
           MakeCaseEstimator(c, kind);
@@ -342,22 +346,34 @@ CaseVerdict RunDifferentialCase(const FuzzCase& c,
         if (!counters.ok) return fail(config, counters.message);
         continue;
       }
-      if (!outcome->found_plan()) {
-        return fail(config, "no plan found under estimator");
-      }
-      Result<Plan> plan = Plan::ExtractFromTable(outcome->table);
-      if (!plan.ok()) {
-        return fail(config,
-                    "plan extraction failed: " + plan.status().ToString());
-      }
-      if (plan->relations() != c.catalog.AllRelations()) {
-        return fail(config, "plan does not cover every relation");
-      }
-      const double true_cost = EvaluateCost(*plan, c.catalog, c.graph, model);
-      if (!std::isfinite(true_cost) || true_cost < 0) {
-        return fail(config,
-                    StrFormat("plan recost under true statistics is %g",
-                              true_cost));
+      if (outcome->found_plan()) {
+        Result<Plan> plan = Plan::ExtractFromTable(outcome->table);
+        if (!plan.ok()) {
+          return fail(config,
+                      "plan extraction failed: " + plan.status().ToString());
+        }
+        if (plan->relations() != c.catalog.AllRelations()) {
+          return fail(config, "plan does not cover every relation");
+        }
+        const double true_cost =
+            EvaluateCost(*plan, c.catalog, c.graph, model);
+        if (!std::isfinite(true_cost) || true_cost < 0) {
+          return fail(config,
+                      StrFormat("plan recost under true statistics is %g",
+                                true_cost));
+        }
+      } else {
+        // A finite witness below the band proves the DP missed a plan.
+        Result<GreedyResult> greedy = OptimizeGreedy(
+            c.catalog, c.graph, model, GreedyCriterion::kMinOutputCardinality,
+            estimator.get());
+        if (!greedy.ok()) return fail(config, greedy.status().ToString());
+        const double witness = EvaluateCost(greedy->plan, *estimator, model);
+        if (!(witness >= kFloatOverflowBand)) {
+          return fail(config, StrFormat("no plan found, but the greedy plan "
+                                        "costs %.17g under the estimator",
+                                        witness));
+        }
       }
       if (!grid_matches(model, estimator.get(), *outcome, extra)) {
         return verdict;

@@ -39,7 +39,10 @@ struct DifferentialOptions {
   /// invariants (the run succeeds, the plan covers every relation, and its
   /// cost under the *true* statistics is positive and finite), and every
   /// other (thread_counts x simd_levels) combination must reproduce that
-  /// run's table and counters bit for bit. Empty disables the leg.
+  /// run's table and counters bit for bit. A run that finds no plan passes
+  /// only if the greedy plan under the same estimator costs at or above
+  /// kFloatOverflowBand there (every plan overflowed float); the grid still
+  /// runs. Empty disables the leg.
   std::vector<EstimatorKind> estimators = {EstimatorKind::kPaperFanout};
   /// Plan-cache reuse leg (fuzz_blitzsplit --no-plan-cache to disable):
   /// the case is driven through a serving-tier PlanCache cold, warm, and

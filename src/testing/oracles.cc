@@ -23,10 +23,6 @@ constexpr double kCostTol = 2e-4;
 /// order).
 constexpr double kCardTol = 1e-8;
 
-/// Reference costs at/above this are treated as float-overflow territory: a
-/// DP pass (single-precision, Section 6.3) is entitled to reject them.
-constexpr double kFloatOverflowBand = 3.0e38;
-
 bool RelClose(double a, double b, double tol) {
   return std::abs(a - b) <= tol * std::max({std::abs(a), std::abs(b), 1.0});
 }

@@ -26,6 +26,10 @@ struct OracleVerdict {
   }
 };
 
+/// Reference costs at/above this are treated as float-overflow territory: a
+/// DP pass (single-precision, Section 6.3) is entitled to reject them.
+inline constexpr double kFloatOverflowBand = 3.0e38;
+
 // ---------------------------------------------------------------------------
 // Oracle 1: naive full-subset brute force.
 //

@@ -372,13 +372,19 @@ TEST(EstimatorBitIdentityTest, DifferentialHarnessSweepsAllKinds) {
   // and noest for valid-plan invariants, across a few generated cases.
   fuzz::FuzzerOptions options;
   options.seed = 20260809;
+  std::vector<std::pair<fuzz::FuzzerOptions, std::uint64_t>> cases;
+  for (std::uint64_t i = 0; i < 6; ++i) cases.emplace_back(options, i);
+  // Seed 1 case 92 (fuzz_blitzsplit defaults): every plan's estimated cost
+  // overflows float, so the estimator run finds none and must be confirmed
+  // by an overflowing greedy witness.
+  cases.emplace_back(fuzz::FuzzerOptions{}, 92);
   fuzz::DifferentialOptions diff;
   diff.brute_force_max_n = 8;
   diff.estimators = {EstimatorKind::kPaperFanout,
                      EstimatorKind::kSampleHistogram,
                      EstimatorKind::kNoEstimate};
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    Result<fuzz::FuzzCase> c = fuzz::GenerateCase(options, i);
+  for (const auto& [fuzzer_options, index] : cases) {
+    Result<fuzz::FuzzCase> c = fuzz::GenerateCase(fuzzer_options, index);
     ASSERT_TRUE(c.ok());
     const fuzz::CaseVerdict verdict = fuzz::RunDifferentialCase(*c, diff);
     EXPECT_TRUE(verdict.passed) << c->label << ": " << verdict.ToString();

@@ -159,8 +159,8 @@ TEST_F(FaultPointWiringTest, HybridRunFailStatus) {
   registry_.Arm(kFaultHybridRun, spec);
   const testing::RandomInstance instance =
       testing::MakeRandomInstance(12, /*seed=*/5);
-  Result<HybridResult> outcome =
-      OptimizeHybrid(instance.catalog, instance.graph, HybridOptions{});
+  Result<HybridResult> outcome = OptimizeHybrid(
+      instance.catalog, instance.graph, OptimizerOptions{}, HybridOptions{});
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
 }

@@ -20,7 +20,8 @@
 // `paper` estimator must leave the DP table and counters bit-identical to
 // the estimator-less reference; non-exact kinds (`hist`, `noest`) are held
 // to valid-plan invariants (full relation coverage, finite positive cost
-// under the true statistics).
+// under the true statistics), or, when their run finds no plan, to a greedy
+// witness whose estimated cost overflows float.
 //
 // On a mismatch the case is shrunk (drop relations / drop predicates /
 // snap selectivities while it still reproduces) and written as a replayable

@@ -21,8 +21,8 @@ TEST(HybridTest, MatchesExactDpWhenBlockCoversEverything) {
   options.block_size = 12;  // > n: single exact solve per restart
   options.restarts = 1;
   options.polish = false;
-  Result<HybridResult> hybrid =
-      OptimizeHybrid(instance.catalog, instance.graph, options);
+  Result<HybridResult> hybrid = OptimizeHybrid(
+      instance.catalog, instance.graph, OptimizerOptions{}, options);
   Result<OptimizeOutcome> exact =
       OptimizeJoin(instance.catalog, instance.graph, OptimizerOptions{});
   ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
@@ -42,8 +42,8 @@ TEST(HybridTest, PlanCoversAllRelations) {
   HybridOptions options;
   options.block_size = 8;
   options.restarts = 2;
-  Result<HybridResult> hybrid =
-      OptimizeHybrid(workload->catalog, workload->graph, options);
+  Result<HybridResult> hybrid = OptimizeHybrid(
+      workload->catalog, workload->graph, OptimizerOptions{}, options);
   ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
   EXPECT_EQ(hybrid->plan.relations(), RelSet::FirstN(20));
   EXPECT_EQ(hybrid->plan.NumLeaves(), 20);
@@ -67,8 +67,8 @@ TEST(HybridTest, NeverBeatsExactOptimumAndStaysClose) {
     options.block_size = 7;
     options.restarts = 3;
     options.seed = seed;
-    Result<HybridResult> hybrid =
-        OptimizeHybrid(instance.catalog, instance.graph, options);
+    Result<HybridResult> hybrid = OptimizeHybrid(
+        instance.catalog, instance.graph, OptimizerOptions{}, options);
     ASSERT_TRUE(hybrid.ok());
     EXPECT_GE(hybrid->cost, exact->cost * (1 - 1e-4)) << "seed " << seed;
     EXPECT_LE(hybrid->cost, static_cast<double>(exact->cost) * 50)
@@ -87,8 +87,8 @@ TEST(HybridTest, BeatsOrMatchesGreedyOnChains) {
   HybridOptions options;
   options.block_size = 10;
   options.restarts = 3;
-  Result<HybridResult> hybrid =
-      OptimizeHybrid(workload->catalog, workload->graph, options);
+  Result<HybridResult> hybrid = OptimizeHybrid(
+      workload->catalog, workload->graph, OptimizerOptions{}, options);
   Result<GreedyResult> greedy = OptimizeGreedy(
       workload->catalog, workload->graph, CostModelKind::kNaive,
       GreedyCriterion::kMinOutputCardinality);
@@ -102,10 +102,10 @@ TEST(HybridTest, DeterministicForSeed) {
   HybridOptions options;
   options.block_size = 6;
   options.seed = 4242;
-  Result<HybridResult> a =
-      OptimizeHybrid(instance.catalog, instance.graph, options);
-  Result<HybridResult> b =
-      OptimizeHybrid(instance.catalog, instance.graph, options);
+  Result<HybridResult> a = OptimizeHybrid(
+      instance.catalog, instance.graph, OptimizerOptions{}, options);
+  Result<HybridResult> b = OptimizeHybrid(
+      instance.catalog, instance.graph, OptimizerOptions{}, options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->cost, b->cost);
@@ -124,7 +124,8 @@ TEST(HybridTest, HandlesDisconnectedGraphs) {
   HybridOptions options;
   options.block_size = 4;
   options.restarts = 2;
-  Result<HybridResult> hybrid = OptimizeHybrid(*catalog, graph, options);
+  Result<HybridResult> hybrid =
+      OptimizeHybrid(*catalog, graph, OptimizerOptions{}, options);
   ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
   EXPECT_EQ(hybrid->plan.NumLeaves(), 12);
 }
@@ -135,12 +136,13 @@ TEST(HybridTest, WorksUnderEveryCostModel) {
        {CostModelKind::kNaive, CostModelKind::kSortMerge,
         CostModelKind::kDiskNestedLoops, CostModelKind::kMinSmDnl,
         CostModelKind::kHash, CostModelKind::kMinAll}) {
+    OptimizerOptions pass;
+    pass.cost_model = kind;
     HybridOptions options;
-    options.cost_model = kind;
     options.block_size = 6;
     options.restarts = 2;
     Result<HybridResult> hybrid =
-        OptimizeHybrid(instance.catalog, instance.graph, options);
+        OptimizeHybrid(instance.catalog, instance.graph, pass, options);
     ASSERT_TRUE(hybrid.ok()) << CostModelKindToString(kind);
     EXPECT_EQ(hybrid->plan.NumLeaves(), 12);
     EXPECT_TRUE(std::isfinite(hybrid->cost));
@@ -151,19 +153,29 @@ TEST(HybridTest, RejectsBadOptions) {
   const auto instance = MakeRandomInstance(5, 1);
   HybridOptions options;
   options.block_size = 1;
-  EXPECT_FALSE(
-      OptimizeHybrid(instance.catalog, instance.graph, options).ok());
+  EXPECT_FALSE(OptimizeHybrid(instance.catalog, instance.graph,
+                              OptimizerOptions{}, options)
+                   .ok());
   options.block_size = 8;
   options.restarts = 0;
+  EXPECT_FALSE(OptimizeHybrid(instance.catalog, instance.graph,
+                              OptimizerOptions{}, options)
+                   .ok());
+  // The pass's parallel options are validated too (the block solves use
+  // them).
+  options.restarts = 1;
+  OptimizerOptions pass;
+  pass.parallel.min_parallel_rank = 0;
   EXPECT_FALSE(
-      OptimizeHybrid(instance.catalog, instance.graph, options).ok());
+      OptimizeHybrid(instance.catalog, instance.graph, pass, options).ok());
 }
 
 TEST(HybridTest, SingleRelation) {
   Result<Catalog> catalog = Catalog::FromCardinalities({42});
   ASSERT_TRUE(catalog.ok());
   Result<HybridResult> hybrid =
-      OptimizeHybrid(*catalog, JoinGraph(1), HybridOptions{});
+      OptimizeHybrid(*catalog, JoinGraph(1), OptimizerOptions{},
+                     HybridOptions{});
   ASSERT_TRUE(hybrid.ok());
   EXPECT_EQ(hybrid->plan.NumLeaves(), 1);
   EXPECT_DOUBLE_EQ(hybrid->cost, 0.0);

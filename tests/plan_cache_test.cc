@@ -176,6 +176,47 @@ TEST(PlanFingerprintTest, PlanAffectingChangesMiss) {
               ComputePlanFingerprint(problem.catalog, problem.graph, options)
                   .canonical);
   }
+  // Every hybrid search knob and the algorithm post-pass change the answer,
+  // so each is keyed and changing any one misses.
+  const auto canonical = [&](const QueryOptimizerOptions& options) {
+    return ComputePlanFingerprint(problem.catalog, problem.graph, options)
+        .canonical;
+  };
+  {  // Hybrid block size.
+    QueryOptimizerOptions options = base_options;
+    options.hybrid.block_size = 5;
+    EXPECT_NE(base.canonical, canonical(options));
+  }
+  {  // Hybrid restarts.
+    QueryOptimizerOptions options = base_options;
+    options.hybrid.restarts = 2;
+    EXPECT_NE(base.canonical, canonical(options));
+  }
+  {  // Hybrid seed.
+    QueryOptimizerOptions options = base_options;
+    options.hybrid.seed = 7;
+    EXPECT_NE(base.canonical, canonical(options));
+  }
+  {  // Hybrid polish.
+    QueryOptimizerOptions options = base_options;
+    options.hybrid.polish = false;
+    EXPECT_NE(base.canonical, canonical(options));
+  }
+  {  // Hybrid polish moves.
+    QueryOptimizerOptions options = base_options;
+    options.hybrid.polish_moves = 10;
+    EXPECT_NE(base.canonical, canonical(options));
+  }
+  {  // Hybrid greedy seeding.
+    QueryOptimizerOptions options = base_options;
+    options.hybrid.seed_with_greedy = false;
+    EXPECT_NE(base.canonical, canonical(options));
+  }
+  {  // Algorithm attachment.
+    QueryOptimizerOptions options = base_options;
+    options.attach_algorithms = false;
+    EXPECT_NE(base.canonical, canonical(options));
+  }
   {  // Edge selectivity.
     JoinGraph graph(3);
     ASSERT_TRUE(graph.AddPredicate(0, 1, 0.011).ok());

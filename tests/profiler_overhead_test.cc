@@ -39,6 +39,7 @@
 namespace blitz {
 namespace {
 
+#if !defined(BLITZ_SANITIZED_BUILD)
 double MinOfK(const Catalog& catalog, const OptimizerOptions& options,
               int samples) {
   double best = 0;
@@ -51,6 +52,7 @@ double MinOfK(const Catalog& catalog, const OptimizerOptions& options,
   }
   return best;
 }
+#endif
 
 TEST(ProfilerOverheadTest, DisabledProfilingIsFreeOnTheHotLoop) {
 #if defined(BLITZ_SANITIZED_BUILD)
