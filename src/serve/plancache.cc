@@ -377,7 +377,7 @@ void PlanCache::Insert(const PlanFingerprint& fp,
 Result<OptimizedQuery> PlanCache::GetOrCompute(
     const PlanFingerprint& fp,
     const std::function<Result<OptimizedQuery>()>& compute,
-    const std::function<bool()>& cancelled) {
+    const std::function<bool()>& cancelled, bool probed) {
   if (disabled()) return compute();
   Shard& shard = ShardFor(fp);
   {
@@ -387,8 +387,8 @@ Result<OptimizedQuery> PlanCache::GetOrCompute(
       // Re-check lookups while waiting on a leader count neither as hits
       // nor misses until they settle — stats stay per-request, not
       // per-poll-cycle.
-      if (std::optional<OptimizedQuery> hit =
-              LookupLocked(shard, fp, /*count_miss=*/first_attempt);
+      if (std::optional<OptimizedQuery> hit = LookupLocked(
+              shard, fp, /*count_miss=*/first_attempt && !probed);
           hit.has_value()) {
         return std::move(*hit);
       }

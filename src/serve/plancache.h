@@ -146,11 +146,12 @@ class PlanCache {
   /// Single-flight lookup-or-compute. `compute` runs outside every cache
   /// lock; concurrent callers with the same fingerprint coalesce onto one
   /// computation. `cancelled` (optional) lets a waiter give up — it then
-  /// returns kCancelled without computing.
+  /// returns kCancelled without computing. `probed` says the caller already
+  /// missed this key through Lookup, so that miss is not counted again.
   Result<OptimizedQuery> GetOrCompute(
       const PlanFingerprint& fp,
       const std::function<Result<OptimizedQuery>()>& compute,
-      const std::function<bool()>& cancelled = nullptr);
+      const std::function<bool()>& cancelled = nullptr, bool probed = false);
 
   Stats GetStats() const;
 
@@ -185,7 +186,8 @@ class PlanCache {
 
   /// Lookup under `shard.mu` (caller holds it). Touches LRU on hit;
   /// `count_miss` false makes a miss invisible in the stats (used by
-  /// GetOrCompute's waiter re-checks, which are not new requests).
+  /// GetOrCompute's waiter re-checks and by its first check after a
+  /// caller's Lookup — neither is a new miss).
   std::optional<OptimizedQuery> LookupLocked(Shard& shard,
                                              const PlanFingerprint& fp,
                                              bool count_miss = true);

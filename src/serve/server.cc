@@ -1,9 +1,9 @@
 #include "serve/server.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
-#include "card/no_estimate.h"
 #include "common/strings.h"
 #include "governor/faultpoints.h"
 #include "obs/metrics.h"
@@ -25,9 +25,33 @@ constexpr double kShedRetryAfterMs = 50;
 /// tuned for offline exactness; on the serving hot path a budget-exhausting
 /// symmetric query would cost milliseconds *per request* on the submitting
 /// thread, so the server caps the search low. Exhaustion is safe — the
-/// fallback fingerprint still hits for byte-identical repeats — and the
-/// probe and insert paths share this constant, so their keys always agree.
+/// fallback fingerprint still hits for byte-identical repeats.
 constexpr int kServingFingerprintBudget = 16;
+
+/// Histograms need base tables the serving tier does not have, so hist is
+/// refused both as the server default and as a request's directive.
+constexpr char kHistUnservable[] =
+    "estimator hist needs local base tables; the serving tier supports "
+    "paper and noest";
+
+ResponseFrame ErrorFrame(std::uint64_t id, const Status& error,
+                         double retry_after_ms = 0) {
+  return ResponseFrame{id, error.code(), retry_after_ms, error.message()};
+}
+
+/// The OK reply body. Every server result carries a report: Resolve sets
+/// collect_report, and cached entries keep the inserting run's report.
+std::string ReplyBody(const OptimizedQuery& result, const Catalog& catalog) {
+  ServeReply reply;
+  reply.plan = result.plan.ToString(&catalog);
+  reply.cost = result.cost;
+  reply.tier = OptimizerTierName(result.tier);
+  reply.passes = result.passes;
+  reply.degradations = static_cast<int>(result.report->degradations.size());
+  reply.estimator = EstimatorKindName(result.report->estimator);
+  reply.cached = result.from_cache;
+  return EncodeReplyBody(reply);
+}
 
 }  // namespace
 
@@ -45,9 +69,7 @@ Status ServerOptions::Validate() const {
     return Status::InvalidArgument("drain_grace_ms must be >= 0");
   }
   if (default_estimator == EstimatorKind::kSampleHistogram) {
-    return Status::InvalidArgument(
-        "estimator hist needs local base tables; the serving tier supports "
-        "paper and noest");
+    return Status::InvalidArgument(kHistUnservable);
   }
   if (cache.shards < 1) {
     return Status::InvalidArgument("cache.shards must be >= 1");
@@ -85,8 +107,7 @@ Status BlitzServer::AcceptConnection(ResponseSink& sink) {
                            ? fault->status
                            : Status::Unavailable("injected accept failure");
   Count("serve.accept_rejects");
-  Respond(sink,
-          ResponseFrame{0, error.code(), kShedRetryAfterMs, error.message()});
+  Respond(sink, ErrorFrame(0, error, kShedRetryAfterMs));
   return error;
 }
 
@@ -96,31 +117,42 @@ void BlitzServer::SubmitProtocolError(ResponseSink& sink,
   // parsed, so answer with id 0. The process — and every other
   // connection — is unaffected.
   Count("serve.protocol_errors");
-  Respond(sink, ResponseFrame{0, error.code(), 0, error.message()});
+  Respond(sink, ErrorFrame(0, error));
 }
 
-std::string BlitzServer::BuildReplyBody(
-    const OptimizedQuery& result, const Catalog& catalog,
-    EstimatorKind requested_estimator) const {
-  ServeReply reply;
-  reply.plan = result.plan.ToString(&catalog);
-  reply.cost = result.cost;
-  reply.tier = OptimizerTierName(result.tier);
-  reply.passes = result.passes;
-  reply.degradations =
-      result.report.has_value()
-          ? static_cast<int>(result.report->degradations.size())
-          : 0;
-  reply.estimator = result.report.has_value()
-                        ? EstimatorKindName(result.report->estimator)
-                        : EstimatorKindName(requested_estimator);
-  reply.cached = result.from_cache;
-  return EncodeReplyBody(reply);
+Result<std::unique_ptr<BlitzServer::ResolvedQuery>> BlitzServer::Resolve(
+    std::string_view body) {
+  if (std::optional<FaultSpec> fault = FaultHit(kFaultServeParse)) {
+    if (fault->kind == FaultKind::kFailStatus) return fault->status;
+    return Status::ResourceExhausted("injected parse allocation failure");
+  }
+  Result<QuerySpec> parsed = ParseBjq(body, options_.parse);
+  if (!parsed.ok()) return parsed.status();
+  // The request's estimator directive wins over the server default.
+  const EstimatorKind estimator =
+      parsed->estimator.value_or(options_.default_estimator);
+  if (estimator == EstimatorKind::kSampleHistogram) {
+    return Status::InvalidArgument(kHistUnservable);
+  }
+
+  auto query = std::make_unique<ResolvedQuery>(std::move(*parsed));
+  QueryOptimizerOptions& opts = query->options;
+  opts = options_.optimizer;
+  opts.cost_model = query->spec.cost_model;
+  opts.initial_cost_threshold = query->spec.threshold;
+  opts.estimator = estimator == EstimatorKind::kNoEstimate
+                       ? &query->no_estimate
+                       : nullptr;
+  opts.collect_report = true;  // Degradation history feeds the reply body.
+  opts.table_arena = &arena_;
+  query->fingerprint = ComputePlanFingerprint(
+      query->spec.catalog, query->spec.graph, opts, kServingFingerprintBudget);
+  return query;
 }
 
 void BlitzServer::SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
                                 RequestFrame frame) {
-  // Introspection is answered before admission and before the draining
+  // 1. Introspection is answered before admission and before the draining
   // check — /statz must work while the server sheds everything else.
   if (frame.body == kStatzBody) {
     Count("serve.statz");
@@ -129,13 +161,14 @@ void BlitzServer::SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
   }
 
   Count("serve.requests");
+  // A shed before admission holds no tenant slot: it answers directly.
   const auto shed = [&](const Status& status, double retry_after_ms,
                         std::string_view counter) {
     Count(counter);
-    Respond(*sink, ResponseFrame{frame.id, status.code(), retry_after_ms,
-                                 status.message()});
+    Respond(*sink, ErrorFrame(frame.id, status, retry_after_ms));
   };
 
+  // 2. Draining.
   bool draining;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -148,61 +181,41 @@ void BlitzServer::SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
     return;
   }
 
-  const auto start_time = std::chrono::steady_clock::now();
+  // 3. Tenant admission.
+  Job job;
+  job.start_time = std::chrono::steady_clock::now();
   AdmissionController::Decision decision =
       admission_.Admit(frame.tenant, frame.body.size());
   if (!decision.status.ok()) {
     shed(decision.status, decision.retry_after_ms, "serve.shed.admission");
     return;
   }
-  // Admitted: from here every early exit must Release the tenant slot.
-
-  Job job;
+  // Admitted: from here every answer goes through Finish.
   job.sink = sink;
   job.id = frame.id;
-  job.tenant = frame.tenant;
-  job.body = std::move(frame.body);
+  job.tenant = std::move(frame.tenant);
 
-  // Plan-cache probe, on the submitting thread: parse and canonicalize
-  // here so a hit skips the queue and the workers entirely — the warm-path
-  // latency is a parse + a fingerprint + one shard lookup. A miss hands
-  // the parsed spec and fingerprint to the worker (no duplicate work);
-  // anything unusual (parse error, unservable estimator) is deliberately
-  // left for ProcessJob so error ordering matches the uncached server.
-  if (!cache_.disabled()) {
-    Result<QuerySpec> parsed = ParseBjq(job.body, options_.parse);
-    if (parsed.ok()) {
-      const EstimatorKind estimator_kind =
-          parsed->estimator.value_or(options_.default_estimator);
-      if (estimator_kind != EstimatorKind::kSampleHistogram) {
-        std::optional<NoEstimateEstimator> no_estimate;
-        if (estimator_kind == EstimatorKind::kNoEstimate) {
-          no_estimate.emplace(parsed->graph);
-        }
-        QueryOptimizerOptions opts = options_.optimizer;
-        opts.cost_model = parsed->cost_model;
-        opts.initial_cost_threshold = parsed->threshold;
-        opts.estimator = no_estimate.has_value() ? &*no_estimate : nullptr;
-        PlanFingerprint fp =
-            ComputePlanFingerprint(parsed->catalog, parsed->graph, opts,
-                                   kServingFingerprintBudget);
-        if (std::optional<OptimizedQuery> hit = cache_.Lookup(fp);
-            hit.has_value()) {
-          const std::string body =
-              BuildReplyBody(*hit, parsed->catalog, estimator_kind);
-          admission_.Release(job.tenant);
-          Count("serve.cache.hit");
-          RecordLatencySample(start_time);
-          Respond(*sink, ResponseFrame{job.id, StatusCode::kOk, 0, body});
-          return;
-        }
-        Count("serve.cache.miss");
-        job.fingerprint = std::move(fp);
-      }
-      job.spec = std::move(*parsed);
-    }
+  // 4. Resolve. A body the server cannot serve (parse error, hist) is
+  // answered here and never takes a queue slot.
+  Result<std::unique_ptr<ResolvedQuery>> resolved = Resolve(frame.body);
+  if (!resolved.ok()) {
+    Finish(job, ErrorFrame(job.id, resolved.status()));
+    return;
   }
+  job.query = std::move(*resolved);
 
+  // 5. Cache probe: a hit skips the queue and the workers entirely — the
+  // warm-path latency is a parse + a fingerprint + one shard lookup.
+  if (std::optional<OptimizedQuery> hit = cache_.Lookup(job.query->fingerprint);
+      hit.has_value()) {
+    Count("serve.cache.hit");
+    Finish(job, ResponseFrame{job.id, StatusCode::kOk, 0,
+                              ReplyBody(*hit, job.query->spec.catalog)});
+    return;
+  }
+  Count("serve.cache.miss");
+
+  // 6. Budget, enqueue fault, queue bound.
   const TenantQuota& quota = admission_.quota_for(job.tenant);
   double deadline_ms =
       frame.deadline_ms > 0 ? frame.deadline_ms : options_.default_deadline_ms;
@@ -210,26 +223,24 @@ void BlitzServer::SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
       (deadline_ms == 0 || deadline_ms > quota.max_deadline_ms)) {
     deadline_ms = quota.max_deadline_ms;
   }
-
   job.token = std::make_shared<CancellationToken>();
-  job.enqueue_time = start_time;
-  job.budget = options_.optimizer.budget;
-  if (deadline_ms > 0) job.budget.deadline_seconds = deadline_ms / 1000.0;
+  ResourceBudget& budget = job.query->options.budget;
+  if (deadline_ms > 0) budget.deadline_seconds = deadline_ms / 1000.0;
   if (quota.max_dp_table_bytes > 0) {
-    job.budget.max_dp_table_bytes = quota.max_dp_table_bytes;
+    budget.max_dp_table_bytes = quota.max_dp_table_bytes;
   }
-  job.budget.cancellation = job.token.get();
+  budget.cancellation = job.token.get();
   // Resolve the deadline at enqueue so time spent waiting in the queue
   // counts against the request's allowance, not just optimize time.
-  job.budget = job.budget.Resolved();
+  budget = budget.Resolved();
 
   if (std::optional<FaultSpec> fault = FaultHit(kFaultServeEnqueue)) {
-    admission_.Release(job.tenant);
     const Status error =
         fault->kind == FaultKind::kFailStatus
             ? fault->status
             : Status::ResourceExhausted("injected enqueue failure");
-    shed(error, kShedRetryAfterMs, "serve.shed.enqueue_fault");
+    Count("serve.shed.enqueue_fault");
+    Finish(job, ErrorFrame(job.id, error, kShedRetryAfterMs));
     return;
   }
 
@@ -239,11 +250,11 @@ void BlitzServer::SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
         queue_.size() >= static_cast<std::size_t>(options_.max_queue)) {
       const bool full = !draining_ && !stopping_;
       lock.unlock();
-      admission_.Release(job.tenant);
-      shed(Status::Unavailable(full ? "request queue is full"
-                                    : "server is draining"),
-           kShedRetryAfterMs,
-           full ? "serve.shed.queue" : "serve.shed.draining");
+      Count(full ? "serve.shed.queue" : "serve.shed.draining");
+      Finish(job, ErrorFrame(job.id,
+                             Status::Unavailable(full ? "request queue is full"
+                                                      : "server is draining"),
+                             kShedRetryAfterMs));
       return;
     }
     job.token_key = next_token_key_++;
@@ -276,108 +287,45 @@ void BlitzServer::ProcessJob(Job job) {
   // Cancelled while queued (a drain past its grace period): answer without
   // doing any work. Cancellation never degrades.
   if (job.token->cancelled()) {
-    FinishJob(job, ResponseFrame{job.id, StatusCode::kCancelled, 0,
-                                 "cancelled during server drain"});
+    Finish(job, ErrorFrame(job.id, Status::Cancelled(
+                                       "cancelled during server drain")));
     return;
   }
 
-  if (std::optional<FaultSpec> fault = FaultHit(kFaultServeParse)) {
-    const Status error =
-        fault->kind == FaultKind::kFailStatus
-            ? fault->status
-            : Status::ResourceExhausted("injected parse allocation failure");
-    FinishJob(job, ResponseFrame{job.id, error.code(), 0, error.message()});
-    return;
-  }
-
-  QuerySpec spec;
-  if (job.spec.has_value()) {
-    spec = std::move(*job.spec);  // The cache probe already parsed it.
-  } else {
-    Result<QuerySpec> parsed = ParseBjq(job.body, options_.parse);
-    if (!parsed.ok()) {
-      const Status error = parsed.status();
-      FinishJob(job,
-                ResponseFrame{job.id, error.code(), 0, error.message()});
-      return;
-    }
-    spec = std::move(*parsed);
-  }
-
-  // Resolve the cardinality estimator: the request's directive wins over
-  // the server default. Histograms need base tables the serving tier does
-  // not have, so a hist request is a request-level error, not a crash.
-  const EstimatorKind estimator_kind =
-      spec.estimator.value_or(options_.default_estimator);
-  if (estimator_kind == EstimatorKind::kSampleHistogram) {
-    FinishJob(job,
-              ResponseFrame{job.id, StatusCode::kInvalidArgument, 0,
-                            "estimator hist needs local base tables; the "
-                            "serving tier supports paper and noest"});
-    return;
-  }
-  std::optional<NoEstimateEstimator> no_estimate;
-  if (estimator_kind == EstimatorKind::kNoEstimate) {
-    no_estimate.emplace(spec.graph);
-  }
-
-  QueryOptimizerOptions opts = options_.optimizer;
-  opts.cost_model = spec.cost_model;
-  opts.initial_cost_threshold = spec.threshold;
-  opts.budget = job.budget;
-  opts.table_arena = &arena_;
-  opts.collect_report = true;  // Degradation history feeds the reply body.
-  opts.estimator = no_estimate.has_value() ? &*no_estimate : nullptr;
-
-  Result<OptimizedQuery> optimized = Status::Internal("unreachable");
-  if (cache_.disabled()) {
-    optimized = OptimizeQuery(spec.catalog, spec.graph, opts);
-  } else {
-    // Single-flight through the cache: concurrent identical requests
-    // coalesce onto one DP run; a completed, degradation-free result is
-    // inserted for the next reader-thread probe to hit.
-    PlanFingerprint fp =
-        job.fingerprint.has_value()
-            ? std::move(*job.fingerprint)
-            : ComputePlanFingerprint(spec.catalog, spec.graph, opts,
-                                     kServingFingerprintBudget);
-    optimized = cache_.GetOrCompute(
-        fp, [&] { return OptimizeQuery(spec.catalog, spec.graph, opts); },
-        [&] { return job.token->cancelled(); });
-    if (optimized.ok() && optimized->from_cache) Count("serve.cache.hit");
-  }
+  // Single-flight through the cache: concurrent identical requests
+  // coalesce onto one DP run; a completed, degradation-free result is
+  // inserted for the next probe to hit. The submit-side probe already
+  // counted this request's miss.
+  const ResolvedQuery& query = *job.query;
+  Result<OptimizedQuery> optimized = cache_.GetOrCompute(
+      query.fingerprint,
+      [&] {
+        return OptimizeQuery(query.spec.catalog, query.spec.graph,
+                             query.options);
+      },
+      [&] { return job.token->cancelled(); }, /*probed=*/true);
   if (!optimized.ok()) {
-    const Status error = optimized.status();
-    FinishJob(job, ResponseFrame{job.id, error.code(), 0, error.message()});
+    Finish(job, ErrorFrame(job.id, optimized.status()));
     return;
   }
-
-  const int degradations =
-      optimized->report.has_value()
-          ? static_cast<int>(optimized->report->degradations.size())
-          : 0;
-  if (degradations > 0) Count("serve.degradations");
-  FinishJob(job,
-            ResponseFrame{job.id, StatusCode::kOk, 0,
-                          BuildReplyBody(*optimized, spec.catalog,
-                                         estimator_kind)});
+  if (optimized->from_cache) Count("serve.cache.hit");
+  if (!optimized->report->degradations.empty()) Count("serve.degradations");
+  Finish(job, ResponseFrame{job.id, StatusCode::kOk, 0,
+                            ReplyBody(*optimized, query.spec.catalog)});
 }
 
-void BlitzServer::FinishJob(const Job& job, ResponseFrame response) {
+void BlitzServer::Finish(const Job& job, ResponseFrame response) {
   admission_.Release(job.tenant);
-  {
+  if (job.token_key != 0) {  // It was queued: leave the in-flight set.
     std::lock_guard<std::mutex> lock(mu_);
     in_flight_.erase(job.token_key);
     if (--in_flight_count_ == 0) idle_cv_.notify_all();
   }
-  if (MetricsRegistry* metrics = GlobalMetrics()) {
-    metrics->AddCounter(response.code == StatusCode::kOk
-                            ? "serve.responses.ok"
-                            : "serve.responses.error");
-  }
-  RecordLatencySample(job.enqueue_time);
+  RecordLatencySample(job.start_time);
+  Count(response.code == StatusCode::kOk ? "serve.responses.ok"
+                                         : "serve.responses.error");
   // Answer last: a transport may treat the connection as square the moment
-  // this response lands, so all of the job's bookkeeping is already done.
+  // this response lands, so all of the request's bookkeeping is done.
   Respond(*job.sink, response);
 }
 
@@ -428,7 +376,8 @@ std::string BlitzServer::StatzBody() const {
   }
   out += StrFormat("workers %d\n", options_.num_workers);
   out += StrFormat("max_queue %d\n", options_.max_queue);
-  out += StrFormat("cache_enabled %d\n", cache_.disabled() ? 0 : 1);
+  out += StrFormat("cache_enabled %d\n",
+                   options_.cache.max_entries > 0 ? 1 : 0);
   out += StrFormat("cache_hits %llu\n",
                    static_cast<unsigned long long>(cache.hits));
   out += StrFormat("cache_misses %llu\n",

@@ -1,18 +1,21 @@
 #ifndef BLITZ_SERVE_SERVER_H_
 #define BLITZ_SERVE_SERVER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/optimize_query.h"
+#include "card/no_estimate.h"
 #include "core/table_arena.h"
 #include "governor/budget.h"
 #include "obs/metrics.h"
@@ -55,16 +58,16 @@ struct ServerOptions {
   BjqLimits parse;
 
   /// Template for per-request optimizer configuration. The server stamps
-  /// per-request fields (budget, cost model, threshold, table_arena) on a
-  /// copy; everything else — parallelism, SIMD level, degrade_on_budget —
-  /// is honored as configured here. degrade_on_budget defaults to true, so
-  /// over-budget requests degrade exhaustive -> hybrid -> greedy and still
-  /// answer.
+  /// per-request fields (cost model, threshold, estimator, collect_report,
+  /// table_arena, budget) on a copy; everything else — parallelism, SIMD
+  /// level, degrade_on_budget — is honored as configured here.
+  /// degrade_on_budget defaults to true, so over-budget requests degrade
+  /// exhaustive -> hybrid -> greedy and still answer.
   QueryOptimizerOptions optimizer;
 
   /// Plan-cache bounds (serve/plancache.h). max_entries = 0 turns caching
-  /// off entirely (blitzd --cache-entries 0): every request runs the
-  /// optimizer.
+  /// off entirely (blitzd --cache-entries 0): every probe misses and every
+  /// request runs the optimizer, through the same request path.
   PlanCache::Options cache;
 
   /// Retention policy of the shared DP-table arena.
@@ -78,10 +81,10 @@ struct ServerOptions {
 /// ServeStream pump, serve/mux.h) implement it. The server calls
 /// SendResponse exactly once per SubmitRequest / SubmitProtocolError call
 /// and once per refused AcceptConnection — from worker threads or from
-/// inside the submitting call itself (sheds, /statz, cache hits) — so
-/// implementations must be thread-safe and must tolerate calls after their
-/// transport closed (drop the frame; the request still counts as
-/// answered). Queued work holds the sink by shared_ptr until it answers.
+/// inside the submitting call itself (sheds, /statz, parse errors, cache
+/// hits) — so implementations must be thread-safe and must tolerate calls
+/// after their transport closed (drop the frame; the request still counts
+/// as answered). Queued work holds the sink by shared_ptr until it answers.
 class ResponseSink {
  public:
   virtual ~ResponseSink() = default;
@@ -92,15 +95,18 @@ class ResponseSink {
 ///
 /// Threading model: a transport calls AcceptConnection once per new
 /// connection, then SubmitRequest per parsed frame from its reader thread
-/// (the epoll loop, or a ServeStream pump). /statz and plan-cache hits are
-/// answered inline on the submitting thread (no queue, no worker — this is
-/// what makes warm repeat traffic cheap); everything else is admitted into
-/// a bounded queue that num_workers dedicated threads drain, optimize
-/// (through the cache's single-flight GetOrCompute), and answer out of
-/// request order — clients match on frame id. One request can never take
-/// the process down: parse errors, admission sheds, budget exhaustion, and
-/// injected faults (serve.* points) all turn into status-coded response
-/// frames on the same connection.
+/// (the epoll loop, or a ServeStream pump). Every request takes one path,
+/// whatever the cache state. The submitting thread answers /statz, sheds
+/// while draining, applies tenant admission, resolves the body (parse,
+/// estimator, optimizer options, fingerprint), probes the plan cache, and
+/// stamps the budget; parse errors, unservable estimators, cache hits and
+/// sheds are answered right there (no queue, no worker — this is what makes
+/// warm repeat traffic cheap). A miss is queued for num_workers dedicated
+/// threads, which optimize through the cache's single-flight GetOrCompute
+/// and answer out of request order — clients match on frame id. One
+/// request can never take the process down: parse errors, admission sheds,
+/// budget exhaustion, and injected faults (serve.* points) all turn into
+/// status-coded response frames on the same connection.
 ///
 /// Lifecycle: Create -> AcceptConnection + SubmitRequest (any number of
 /// connections, concurrently) -> BeginDrain -> Shutdown. Drain stops
@@ -124,8 +130,8 @@ class BlitzServer {
   Status AcceptConnection(ResponseSink& sink);
 
   /// Submits one parsed request frame. Exactly one SendResponse per call —
-  /// possibly synchronously (shed, /statz, cache hit), possibly later from
-  /// a worker, which holds `sink` until then.
+  /// possibly synchronously (shed, /statz, parse error, cache hit), possibly
+  /// later from a worker, which holds `sink` until then.
   void SubmitRequest(const std::shared_ptr<ResponseSink>& sink,
                      RequestFrame frame);
 
@@ -152,10 +158,12 @@ class BlitzServer {
   /// Requests answered since startup (any status).
   std::uint64_t requests_answered() const;
 
-  /// Requests admitted but not yet answered (queued + executing).
+  /// Requests queued for a worker and not yet answered (queued +
+  /// executing).
   int in_flight() const;
 
-  /// Plan-cache counters (all zero with the cache disabled).
+  /// Plan-cache counters. With the cache disabled only `misses` moves: one
+  /// per resolved request.
   PlanCache::Stats cache_stats() const { return cache_.GetStats(); }
 
   /// The /statz reply body: the blitz-statz-v1 magic line plus one
@@ -167,32 +175,43 @@ class BlitzServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  /// One admitted request, queued for a worker. Owning the token via
-  /// shared_ptr keeps drain-cancellation race-free with job completion.
-  /// `spec`/`fingerprint` carry the reader-thread cache probe's work so a
-  /// miss does not parse or canonicalize twice.
+  /// A request's pre-DP work, done once on the submitting thread: the
+  /// parsed query, its per-request optimizer options and its cache key.
+  /// Pinned on the heap, because `options.estimator` may point at
+  /// `no_estimate`, which borrows `spec.graph`.
+  struct ResolvedQuery {
+    explicit ResolvedQuery(QuerySpec parsed) : spec(std::move(parsed)) {}
+    ResolvedQuery(const ResolvedQuery&) = delete;
+    ResolvedQuery& operator=(const ResolvedQuery&) = delete;
+
+    QuerySpec spec;
+    NoEstimateEstimator no_estimate{spec.graph};
+    QueryOptimizerOptions options;  ///< Budget stamped at enqueue.
+    PlanFingerprint fingerprint;
+  };
+
+  /// One admitted request. Owning the token via shared_ptr keeps
+  /// drain-cancellation race-free with job completion.
   struct Job {
     std::shared_ptr<ResponseSink> sink;
     std::uint64_t id = 0;
     std::string tenant;
-    std::string body;
-    std::optional<QuerySpec> spec;
-    std::optional<PlanFingerprint> fingerprint;
-    ResourceBudget budget;  ///< Resolved at enqueue: queue wait counts.
+    std::chrono::steady_clock::time_point start_time;
+    std::unique_ptr<ResolvedQuery> query;
     std::shared_ptr<CancellationToken> token;
-    std::uint64_t token_key = 0;
-    std::chrono::steady_clock::time_point enqueue_time;
+    std::uint64_t token_key = 0;  ///< Nonzero once queued (in_flight_).
   };
 
   explicit BlitzServer(ServerOptions options);
 
-  /// Builds the OK reply body for an optimization result.
-  std::string BuildReplyBody(const OptimizedQuery& result,
-                             const Catalog& catalog,
-                             EstimatorKind requested_estimator) const;
+  /// Runs the serve.parse fault point, parses `body`, resolves its
+  /// estimator and builds its optimizer options and fingerprint.
+  Result<std::unique_ptr<ResolvedQuery>> Resolve(std::string_view body);
   void WorkerLoop();
   void ProcessJob(Job job);
-  void FinishJob(const Job& job, ResponseFrame response);
+  /// Answers an admitted request: releases its tenant slot (and in-flight
+  /// entry), records its latency and response counter, then responds.
+  void Finish(const Job& job, ResponseFrame response);
   void Respond(ResponseSink& sink, const ResponseFrame& response);
   void RecordLatencySample(std::chrono::steady_clock::time_point start);
   void CancelInFlight();

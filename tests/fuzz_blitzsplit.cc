@@ -27,13 +27,23 @@
 // snap selectivities while it still reproduces) and written as a replayable
 // .bjq under --corpus-dir; the corpus-replay test keeps it green forever.
 //
-// Modes: a bounded --iters run registers under CTest (label `fuzz`); CI
-// runs a --time-budget-s bounded session per sanitizer.
+// Limits: without --iters or --time-budget-s a run stops after 100 cases.
+// --time-budget-s=S given alone runs cases until S seconds have passed;
+// given with --iters, whichever limit comes first ends the run. A bounded
+// --iters run registers under CTest (label `fuzz`); CI runs a
+// --time-budget-s session per sanitizer.
+//
+// Numeric flags take non-negative decimal values; anything else (a sign,
+// trailing text, overflow) is a usage error.
 //
 // Exit codes: 0 all cases pass, 1 mismatch found, 2 usage/invalid
 // configuration, 3 replay file unreadable.
 
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,19 +70,25 @@ constexpr int kExitMismatch = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitReplay = 3;
 
+constexpr std::uint64_t kDefaultIters = 100;
+
 int Usage() {
   std::fprintf(stderr,
                "usage: fuzz_blitzsplit [--seed=N] [--iters=K] [--min-n=2] "
                "[--max-n=12] [--brute-max-n=12] [--time-budget-s=S] "
                "[--corpus-dir=DIR] [--no-minimize] [--no-thresholds] "
                "[--estimators=paper,hist,noest] [--no-plan-cache] "
-               "[--replay=FILE.bjq] [--verbose]\n");
+               "[--replay=FILE.bjq] [--verbose]\n"
+               "  without --iters or --time-budget-s a run stops after %llu "
+               "cases; --time-budget-s alone lifts that cap, and with both "
+               "the first limit reached ends the run\n",
+               static_cast<unsigned long long>(kDefaultIters));
   return kExitUsage;
 }
 
 struct Flags {
   std::uint64_t seed = 1;
-  std::uint64_t iters = 100;
+  std::optional<std::uint64_t> iters;  // Unset: see Usage().
   int min_n = 2;
   int max_n = 12;
   int brute_max_n = 12;
@@ -95,6 +111,35 @@ bool ParseFlag(const char* arg, const char* name, const char** value) {
   }
   if (arg[len] != '=') return false;
   *value = arg + len + 1;
+  return true;
+}
+
+/// Parses a non-negative decimal integer spanning all of `text`.
+bool ParseCount(const char* text, std::uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
+bool ParseInt(const char* text, int* out) {
+  std::uint64_t value = 0;
+  if (!ParseCount(text, &value) || value > INT_MAX) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
+/// Parses a finite, non-negative decimal number spanning all of `text`.
+bool ParseSeconds(const char* text, double* out) {
+  if ((*text < '0' || *text > '9') && *text != '.') return false;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
   return true;
 }
 
@@ -132,20 +177,21 @@ int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
+    bool valid = true;
     if (ParseFlag(argv[i], "--seed", &value) && value != nullptr) {
-      flags.seed = std::strtoull(value, nullptr, 10);
+      valid = ParseCount(value, &flags.seed);
     } else if (ParseFlag(argv[i], "--iters", &value) && value != nullptr) {
-      flags.iters = std::strtoull(value, nullptr, 10);
+      valid = ParseCount(value, &flags.iters.emplace());
     } else if (ParseFlag(argv[i], "--min-n", &value) && value != nullptr) {
-      flags.min_n = std::atoi(value);
+      valid = ParseInt(value, &flags.min_n);
     } else if (ParseFlag(argv[i], "--max-n", &value) && value != nullptr) {
-      flags.max_n = std::atoi(value);
+      valid = ParseInt(value, &flags.max_n);
     } else if (ParseFlag(argv[i], "--brute-max-n", &value) &&
                value != nullptr) {
-      flags.brute_max_n = std::atoi(value);
+      valid = ParseInt(value, &flags.brute_max_n);
     } else if (ParseFlag(argv[i], "--time-budget-s", &value) &&
                value != nullptr) {
-      flags.time_budget_s = std::atof(value);
+      valid = ParseSeconds(value, &flags.time_budget_s);
     } else if (ParseFlag(argv[i], "--corpus-dir", &value) &&
                value != nullptr) {
       flags.corpus_dir = value;
@@ -166,7 +212,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return Usage();
     }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value: %s\n", argv[i]);
+      return Usage();
+    }
   }
+  const std::uint64_t iters = flags.iters.value_or(
+      flags.time_budget_s > 0 ? UINT64_MAX : kDefaultIters);
 
   DifferentialOptions diff;
   diff.brute_force_max_n = flags.brute_max_n;
@@ -216,14 +268,15 @@ int main(int argc, char** argv) {
     return elapsed.count() >= flags.time_budget_s;
   };
 
-  std::printf("fuzz_blitzsplit: seed=%llu iters=%llu n=[%d, %d] "
-              "(deterministic: case i is a pure function of seed and i)\n",
+  std::printf("fuzz_blitzsplit: seed=%llu iters=%s time-budget-s=%g "
+              "n=[%d, %d] (deterministic: case i is a pure function of seed "
+              "and i)\n",
               static_cast<unsigned long long>(flags.seed),
-              static_cast<unsigned long long>(flags.iters), flags.min_n,
-              flags.max_n);
+              iters == UINT64_MAX ? "unbounded" : std::to_string(iters).c_str(),
+              flags.time_budget_s, flags.min_n, flags.max_n);
 
   std::uint64_t cases_run = 0;
-  for (std::uint64_t i = 0; i < flags.iters && !out_of_time(); ++i) {
+  for (std::uint64_t i = 0; i < iters && !out_of_time(); ++i) {
     blitz::Result<FuzzCase> c = blitz::fuzz::GenerateCase(options, i);
     if (!c.ok()) {
       std::fprintf(stderr, "case %llu generation failed: %s\n",

@@ -1,6 +1,7 @@
 // End-to-end tests for BlitzServer (serve/server.h) over in-memory duplex
 // streams: request/response flow, request isolation, admission sheds,
-// per-tenant fairness, deadline degradation, and graceful drain.
+// per-tenant fairness, deadline degradation, graceful drain, and plan-cache
+// accounting (answers and counters agree with the cache on and off).
 
 #include "serve/server.h"
 
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/mux.h"
 #include "serve/stream.h"
@@ -59,6 +61,22 @@ class TestConnection {
   std::unique_ptr<ByteStream> server_end_;
   std::thread thread_;
 };
+
+/// The value of a `<key> <value>` line in a statz body ("" if absent).
+std::string StatzValue(const std::string& statz, const std::string& key) {
+  const std::string needle = "\n" + key + " ";
+  const std::size_t at = statz.find(needle);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + needle.size();
+  return statz.substr(begin, statz.find('\n', begin) - begin);
+}
+
+std::uint64_t Counter(const MetricsSnapshot& snapshot, std::string_view name) {
+  for (const auto& [key, value] : snapshot.counters) {
+    if (key == name) return value;
+  }
+  return 0;
+}
 
 std::string FuzzBody(std::uint64_t seed, int n) {
   fuzz::FuzzerOptions options;
@@ -490,6 +508,135 @@ TEST(ServerTest, NoCacheOptionDisablesReuse) {
   EXPECT_EQ((*server)->cache_stats().entries, 0u);
 }
 
+TEST(ServerTest, StatzCountsOneMissPerComputedRequest) {
+  Result<std::unique_ptr<BlitzServer>> server =
+      BlitzServer::Create(ServerOptions{});
+  ASSERT_TRUE(server.ok());
+  TestConnection conn(server->get());
+  BlitzClient client(conn.stream(), BlitzClient::Options{});
+
+  // N distinct queries one after another, then one repeat: the probe
+  // misses each distinct query once and the repeat hits inline.
+  constexpr int kDistinct = 3;
+  for (int i = 0; i < kDistinct; ++i) {
+    Result<ServeReply> reply =
+        client.Optimize(FuzzBody(/*seed=*/40 + i, /*n=*/5 + i));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_FALSE(reply->cached);
+  }
+  Result<ServeReply> repeat = client.Optimize(FuzzBody(/*seed=*/40, /*n=*/5));
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_TRUE(repeat->cached);
+
+  Result<std::string> statz = client.Statz();
+  ASSERT_TRUE(statz.ok()) << statz.status().ToString();
+  EXPECT_EQ(StatzValue(*statz, "cache_misses"), std::to_string(kDistinct))
+      << *statz;
+  EXPECT_EQ(StatzValue(*statz, "cache_hits"), "1") << *statz;
+}
+
+/// What one run of the cache on/off script saw: every response by frame id,
+/// plus the server's response counters.
+struct ScriptRun {
+  std::map<std::uint64_t, ResponseFrame> responses;
+  std::uint64_t responses_ok = 0;
+  std::uint64_t responses_error = 0;
+};
+
+/// Pushes a fixed script through ServeStream on one connection: a valid
+/// query, a malformed body, an `estimator hist` query, a repeat of the
+/// valid query, and /statz. The repeat is sent only after the first three
+/// are answered, so with the cache on it is a deterministic inline hit.
+ScriptRun RunCacheScript(const ServerOptions& options) {
+  ScriptRun run;
+  MetricsRegistry metrics;
+  SetGlobalMetrics(&metrics);
+  Result<std::unique_ptr<BlitzServer>> server = BlitzServer::Create(options);
+  EXPECT_TRUE(server.ok());
+  if (!server.ok()) {
+    SetGlobalMetrics(nullptr);
+    return run;
+  }
+  {
+    TestConnection conn(server->get());
+    ResponseFrameReader reader(conn.stream(), WireLimits{});
+    const auto send = [&](std::uint64_t id, std::string body) {
+      RequestFrame frame;
+      frame.id = id;
+      frame.body = std::move(body);
+      EXPECT_TRUE(conn.stream()->Write(EncodeRequestFrame(frame)).ok());
+    };
+    const auto receive = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        Result<std::optional<ResponseFrame>> response = reader.Read();
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        ASSERT_TRUE(response->has_value());
+        run.responses[(*response)->id] = std::move(**response);
+      }
+    };
+    send(1, kSmallBjq);
+    send(2, "relation A 100\nbogus line\n");
+    send(3, std::string("estimator hist\n") + kSmallBjq);
+    receive(3);
+    send(4, kSmallBjq);
+    send(5, std::string(kStatzBody));
+    receive(2);
+  }
+  (*server)->Shutdown();
+  SetGlobalMetrics(nullptr);
+  const MetricsSnapshot snapshot = metrics.TakeSnapshot();
+  run.responses_ok = Counter(snapshot, "serve.responses.ok");
+  run.responses_error = Counter(snapshot, "serve.responses.error");
+  return run;
+}
+
+/// An OK reply body without its `cached` provenance line.
+std::string WithoutCachedLine(std::string body) {
+  const std::size_t at = body.find("cached 1\n");
+  if (at != std::string::npos) body.erase(at, 9);
+  return body;
+}
+
+TEST(ServerTest, CacheOnAndOffGiveTheSameAnswers) {
+  ServerOptions off;
+  off.cache.max_entries = 0;
+  const ScriptRun cached = RunCacheScript(ServerOptions{});
+  const ScriptRun uncached = RunCacheScript(off);
+  ASSERT_EQ(cached.responses.size(), 5u);
+  ASSERT_EQ(uncached.responses.size(), 5u);
+
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    const ResponseFrame& on = cached.responses.at(id);
+    const ResponseFrame& no = uncached.responses.at(id);
+    EXPECT_EQ(on.code, no.code) << "id " << id;
+    if (on.code != StatusCode::kOk) {
+      EXPECT_EQ(on.body, no.body) << "id " << id;  // The error message.
+    }
+  }
+  EXPECT_EQ(cached.responses.at(1).code, StatusCode::kOk);
+  EXPECT_EQ(cached.responses.at(2).code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(cached.responses.at(3).code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(cached.responses.at(5).code, StatusCode::kOk);
+  // The OK bodies agree apart from the repeat's provenance line.
+  for (std::uint64_t id : {1u, 4u}) {
+    EXPECT_EQ(WithoutCachedLine(cached.responses.at(id).body),
+              uncached.responses.at(id).body)
+        << "id " << id;
+  }
+  EXPECT_NE(cached.responses.at(4).body.find("\ncached 1\n"),
+            std::string::npos);
+  EXPECT_NE(cached.responses.at(5).body.find("\ncache_enabled 1\n"),
+            std::string::npos);
+  EXPECT_NE(uncached.responses.at(5).body.find("\ncache_enabled 0\n"),
+            std::string::npos);
+
+  // Every answer from admission onward is counted, the inline hit too.
+  for (const ScriptRun* run : {&cached, &uncached}) {
+    EXPECT_EQ(run->responses_ok, 2u);
+    EXPECT_EQ(run->responses_error, 2u);
+  }
+}
+
 TEST(ServerTest, StatzAnswersBeforeAdmissionAndWhileDraining) {
   Result<std::unique_ptr<BlitzServer>> server =
       BlitzServer::Create(ServerOptions{});
@@ -497,9 +644,9 @@ TEST(ServerTest, StatzAnswersBeforeAdmissionAndWhileDraining) {
   TestConnection conn(server->get());
   BlitzClient client(conn.stream(), BlitzClient::Options{});
   ASSERT_TRUE(client.Optimize(kSmallBjq).ok());
-  // FinishJob responds *before* releasing the tenant's admission slot;
-  // wait for full quiescence (ordered after the release) so the tenant
-  // accounting below is deterministic.
+  // Finish releases the tenant's admission slot before it responds; the
+  // wait for full quiescence keeps the tenant accounting below
+  // deterministic even if that order ever changes.
   while ((*server)->in_flight() != 0) std::this_thread::yield();
 
   Result<std::string> statz = client.Statz();
