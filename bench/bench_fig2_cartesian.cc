@@ -152,9 +152,9 @@ int RunJson(const char* path) {
   for (const auto& model : kModels) {
     // The SIMD column *forces* the resolved kernel so every model's kernel
     // cost is on record; auto_engages says whether kAuto would actually
-    // run it at this (model, n) — only gate-tight models at or above
-    // kSimdMinAutoRelations (see CostModel::kSplitGateTight,
-    // simd/dispatch.h, and DESIGN.md section 9).
+    // run it at this (model, n) on these uncounted passes — each model
+    // from its measured minimum size (see CostModel::kSplitGateTight and
+    // kSplitBound, simd/dispatch.h, and DESIGN.md section 9).
     OptimizerOptions auto_options;
     auto_options.cost_model = model.kind;
     for (int n = min_n; n <= max_n; ++n) {

@@ -156,8 +156,8 @@ Result<OptimizedQuery> OptimizeQuery(const Catalog& catalog,
   // The per-pass kernel choice: every tier's DP passes share one resolved
   // request, so resolve it once up front (the exhaustive tier re-reports
   // its pass's actual level, which matches — including the flat-ablation,
-  // gate-tightness, and minimum-n refinements folded into
-  // EffectivePassSimdLevel).
+  // per-model filter, instrumentation, and minimum-n refinements folded
+  // into EffectivePassSimdLevel).
   report.simd_level = EffectivePassSimdLevel(pass, catalog.num_relations());
   report.estimator = options.estimator != nullptr
                          ? options.estimator->kind()

@@ -10,6 +10,7 @@
 #include "core/dp_table.h"
 #include "core/instrumentation.h"
 #include "core/relset.h"
+#include "cost/cost_model.h"
 #include "governor/governor.h"
 #include "query/join_graph.h"
 #include "simd/split_filter.h"
@@ -54,6 +55,33 @@ enum class CardSource {
 
 namespace internal {
 
+/// The split bound a pass's filter evaluates: the model's kSplitBound on
+/// passes that count nothing, the operand gate on instrumented passes —
+/// the Section 3.3 counters are defined by the scalar gates, and only the
+/// operand mask's survivors replay them exactly (DESIGN.md section 9).
+template <typename CostModel, typename Instr>
+inline constexpr SplitBound kPassSplitBound =
+    Instr::kEnabled ? SplitBound::kOperand : CostModel::kSplitBound;
+
+/// Sizes the per-worker dense-compaction scratch of a pass (`scratches`,
+/// one per worker) and returns the kernel the pass runs: null where no
+/// subset can use one (the flat ablation, n below the popcount gate), in
+/// which case the scratch is released. Whole-cost filters also need the
+/// dense double column dx.
+template <typename CostModel, bool kNestedIfs, typename Instr>
+const SplitKernel* PrepareSplitScratch(const SplitKernel* kernel, int n,
+                                       std::vector<SplitScratch>* scratches) {
+  if (!kNestedIfs || kernel == nullptr || n < kSimdMinPopcount) {
+    scratches->clear();
+    return nullptr;
+  }
+  for (SplitScratch& sc : *scratches) {
+    sc.EnsureCapacity(n, kPassSplitBound<CostModel, Instr> !=
+                             SplitBound::kOperand);
+  }
+  return kernel;
+}
+
 /// The per-subset body of procedure blitzsplit — compute_properties(S)
 /// followed by find_best_split(S) — operating on raw DP-table columns.
 ///
@@ -66,8 +94,8 @@ namespace internal {
 /// touch disjoint rows, and bit-identical inputs give bit-identical rows
 /// regardless of the visit order across subsets of equal cardinality.
 /// `split_kernel` (nullable, loop-invariant per pass) is the resolved SIMD
-/// build/filter pair from simd/dispatch.h, with `scratch` its dense
-/// compaction workspace (non-null iff split_kernel is, capacity >= 2^n).
+/// kernel set from simd/dispatch.h, with `scratch` its dense compaction
+/// workspace (non-null iff split_kernel is, sized by PrepareSplitScratch).
 /// When null — or for subsets below kSimdMinPopcount, or in the flat
 /// kNestedIfs=false ablation — the classic scalar loop runs unchanged.
 /// When set, the nested-if best-split loop runs batched (simd/
@@ -84,7 +112,13 @@ namespace internal {
 /// scalar loop's passes and the re-run makes identical decisions — the
 /// filled row, the best_lhs tie-break (first strict improvement in
 /// successor order wins), and the instrumentation counts are bit-identical
-/// for every cost model.
+/// for every cost model. On passes that count nothing, models with a
+/// whole-cost filter (kPassSplitBound) evaluate the complete split cost
+/// dpnd in vector lanes instead of the operand gate — exactly, or within a
+/// bracket around the scalar body's (simd/split_filter.h) — against a
+/// running threshold: still conservative, so the filled row and the
+/// tie-break are unchanged, but the survivors are the candidate
+/// improvements rather than nearly every split.
 /// `kCards` selects compute_properties(S) only (see CardSource); the
 /// find_best_split half only ever reads the cost and card columns.
 template <typename CostModel, CardSource kCards, bool kNestedIfs,
@@ -93,8 +127,8 @@ BLITZ_ALWAYS_INLINE void BlitzProcessSubset(
     const CostModel& model, const JoinGraph* graph, float cost_threshold,
     std::uint64_t s, float* cost, double* card, std::uint32_t* best,
     double* pi_fan, double* aux, Instr* instr,
-    const SplitKernel* split_kernel = nullptr,
-    SplitScratch* scratch = nullptr) {
+    const SplitKernel* split_kernel, SplitScratch* scratch) {
+  constexpr SplitBound kBound = kPassSplitBound<CostModel, Instr>;
   // Phase attribution (ProfilingInstrumentation): ProfBegin charges the
   // inter-subset gap to the driver phase; the marks below partition the
   // body into {table_write, gate_filter, survivor_replay, kappa2} so the
@@ -201,6 +235,14 @@ BLITZ_ALWAYS_INLINE void BlitzProcessSubset(
       std::uint32_t* const idx = scratch->idx.data();
       float* const dc = scratch->dc.data();
       split_kernel->build(cost, s, k, idx, dc);
+      // A whole-cost filter also compacts the double column its kappa''
+      // reads: aux for kappa_sm, card for kappa_dnl.
+      double* const dx = scratch->dx.data();
+      if constexpr (kBound == SplitBound::kSeparable) {
+        split_kernel->gather(aux, idx, full_rank + 1, dx);
+      } else if constexpr (kBound == SplitBound::kDnl) {
+        split_kernel->gather(card, idx, full_rank + 1, dx);
+      }
       std::uint32_t r = 1;
       while (r < full_rank) {
         std::uint32_t c = full_rank - r;
@@ -208,8 +250,19 @@ BLITZ_ALWAYS_INLINE void BlitzProcessSubset(
           c = static_cast<std::uint32_t>(kSplitFilterBlock);
         }
         instr->OnLoopIterationBlock(c);
-        std::uint64_t mask = split_kernel->filter(
-            dc, full_rank, r, static_cast<int>(c), best_cost_so_far);
+        std::uint64_t mask;
+        if constexpr (kBound == SplitBound::kSeparable) {
+          mask = split_kernel->filter_sm(dc, dx, full_rank, r,
+                                         static_cast<int>(c),
+                                         best_cost_so_far);
+        } else if constexpr (kBound == SplitBound::kDnl) {
+          mask = split_kernel->filter_dnl(
+              dc, dx, full_rank, r, static_cast<int>(c), best_cost_so_far,
+              model.KappaDivisor(), model.blocking_factor);
+        } else {
+          mask = split_kernel->filter(dc, full_rank, r, static_cast<int>(c),
+                                      best_cost_so_far);
+        }
         instr->OnFilterSurvivors(
             c, static_cast<std::uint64_t>(std::popcount(mask)));
         instr->ProfMark(DpPhase::kGateFilter);
@@ -358,7 +411,8 @@ inline void BlitzCheckPass(const std::vector<double>& cards,
 /// loop; any kernel produces a bit-identical table and identical
 /// instrumentation counts (see BlitzProcessSubset). Meaningful only with
 /// kNestedIfs. The driver owns the kernel's dense-compaction scratch
-/// (2^n ranks at 8 bytes, allocated only when a kernel is active).
+/// (2^n ranks at 8 bytes, 16 under a whole-cost filter), allocated only
+/// when a kernel is active.
 ///
 /// For the multicore rank-synchronous variant of this driver see
 /// parallel/blitzsplit_ranked.h; both produce bit-identical tables.
@@ -378,16 +432,10 @@ BLITZ_NOINLINE float RunBlitzSplit(const CostModel& model,
   internal::BlitzCheckPass<CostModel, kCards>(cards, graph, *table);
   const int n = table->num_relations();
 
-  SplitScratch scratch;
-  if constexpr (kNestedIfs) {
-    if (split_kernel != nullptr && n >= kSimdMinPopcount) {
-      scratch.EnsureCapacity(n);
-    } else {
-      split_kernel = nullptr;  // No subset can reach the popcount gate.
-    }
-  } else {
-    split_kernel = nullptr;  // The flat ablation has no gate to batch.
-  }
+  std::vector<SplitScratch> scratch(1);
+  split_kernel = internal::PrepareSplitScratch<CostModel, kNestedIfs, Instr>(
+      split_kernel, n, &scratch);
+  SplitScratch* const sc = scratch.empty() ? nullptr : &scratch[0];
 
   float* const cost = table->cost_data();
   double* const card = table->card_data();
@@ -416,7 +464,7 @@ BLITZ_NOINLINE float RunBlitzSplit(const CostModel& model,
     }
     internal::BlitzProcessSubset<CostModel, kCards, kNestedIfs>(
         model, graph, cost_threshold, s, cost, card, best, pi_fan, aux,
-        instr, split_kernel, &scratch);
+        instr, split_kernel, sc);
   }
   instr->ProfPassEnd();
   return cost[full];

@@ -61,26 +61,39 @@ std::vector<double> BaseCards(const Catalog& catalog) {
   return cards;
 }
 
-/// Whether the model's kappa'' is identically zero, making the batched
-/// operand gate the complete cost comparison (kSplitGateTight in
-/// cost/cost_model.h).
-bool ModelGateTight(CostModelKind kind) {
-  return DispatchCostModel(kind, [](auto model) {
-    return decltype(model)::kSplitGateTight;
+/// The smallest problem an auto-chosen level engages the batched kernel
+/// on, per the filter the pass would run (simd/dispatch.h). Gate-tight
+/// models (kappa'' = 0) filter exactly on the operand gate on every pass.
+/// Models with a whole-cost filter (kSplitBound) get it only on passes
+/// that count nothing: an instrumented pass (count_operations or profile)
+/// keeps the operand mask, which passes nearly every split of a
+/// kappa''-dominated model, so auto never batches it — nor hash and the
+/// min models, which have no whole-cost filter. Returns 0 for "never".
+int AutoSimdMinRelations(const OptimizerOptions& options) {
+  const bool instrumented =
+      options.count_operations || options.profile != nullptr;
+  return DispatchCostModel(options.cost_model, [&](auto model) {
+    using Model = decltype(model);
+    if constexpr (Model::kSplitGateTight) {
+      return kSimdMinAutoRelations;
+    } else if constexpr (Model::kSplitBound == SplitBound::kSeparable) {
+      return instrumented ? 0 : kSimdMinAutoRelationsSortMerge;
+    } else if constexpr (Model::kSplitBound == SplitBound::kDnl) {
+      return instrumented ? 0 : kSimdMinAutoRelationsDnl;
+    } else {
+      return 0;
+    }
   });
 }
 
 /// Resolves the pass's SIMD kernel exactly once: cpuid probe plus the
 /// BLITZ_SIMD / options.simd override (simd/dispatch.h), folded into a
-/// build/filter pair every driver and worker of the pass shares. The flat
+/// kernel set every driver and worker of the pass shares. The flat
 /// nested_ifs = false ablation has no model-independent gate to batch, so
 /// it reports (and runs) kScalar regardless of the request. An auto-chosen
-/// level additionally engages only for gate-tight models (kappa'' = 0) —
-/// elsewhere the filter passes nearly every split and batching is pure
-/// overhead — and only for problems of at least kSimdMinAutoRelations
-/// relations, where the dense build amortizes (BENCH_fig2.json measured
-/// sub-1x auto speedups at n = 5-11). An explicit --simd= / BLITZ_SIMD
-/// request is always honored so ablations and benchmarks can measure any
+/// level additionally engages only from AutoSimdMinRelations on, measured
+/// per filter in BENCH_fig2.json. An explicit --simd= / BLITZ_SIMD request
+/// is always honored so ablations and benchmarks can measure any
 /// combination.
 SimdLevel ResolvePassSimd(const OptimizerOptions& options, int num_relations,
                           const SplitKernel** split_kernel) {
@@ -89,10 +102,12 @@ SimdLevel ResolvePassSimd(const OptimizerOptions& options, int num_relations,
     return SimdLevel::kScalar;
   }
   const SimdResolution res = ResolveSimdLevelDetailed(options.simd);
-  if (res.from_auto && (!ModelGateTight(options.cost_model) ||
-                        num_relations < kSimdMinAutoRelations)) {
-    *split_kernel = nullptr;
-    return SimdLevel::kScalar;
+  if (res.from_auto) {
+    const int min_relations = AutoSimdMinRelations(options);
+    if (min_relations == 0 || num_relations < min_relations) {
+      *split_kernel = nullptr;
+      return SimdLevel::kScalar;
+    }
   }
   *split_kernel = GetSplitKernel(res.level);
   return res.level;

@@ -52,12 +52,16 @@ struct OptimizerOptions {
 
   /// SIMD realization of the best-split filter (see simd/dispatch.h).
   /// kAuto (default) probes the CPU once, honors the BLITZ_SIMD
-  /// environment override, and engages the batched kernel only for
-  /// gate-tight cost models (kSplitGateTight — kappa'' = 0, where the
-  /// batched operand gate is the complete comparison) on problems of at
-  /// least kSimdMinAutoRelations relations (below that the dense-build
-  /// overhead outruns the filter's win; see BENCH_fig2.json); a concrete
-  /// level forces that kernel for any model and size (clamped to what the
+  /// environment override, and engages the batched kernel only where its
+  /// filter is the complete cost comparison: for gate-tight cost models
+  /// (kSplitGateTight — kappa'' = 0) from kSimdMinAutoRelations relations
+  /// on, and for kappa_sm / kappa_dnl (kSplitBound — the whole split cost
+  /// in vector lanes) from kSimdMinAutoRelationsSortMerge /
+  /// kSimdMinAutoRelationsDnl on, on passes that count nothing (an
+  /// instrumented pass keeps the operand mask, where kappa''-dominated
+  /// models pass nearly every split). Below those sizes the dense build
+  /// outruns the filter's win (see BENCH_fig2.json). A concrete level
+  /// forces that kernel for any model and size (clamped to what the
   /// machine supports). Resolved once per pass; every kernel fills a
   /// bit-identical table, so this knob trades nothing but speed. Ignored
   /// by the flat nested_ifs = false ablation, which has no
@@ -125,8 +129,10 @@ struct OptimizeOutcome {
 /// The concrete kernel level a pass with these options would run on a
 /// problem of `num_relations` relations, without running it — what
 /// OptimizeOutcome::simd_level will report: kScalar for the flat ablation,
-/// for kAuto over a gate-loose model, and for kAuto below
-/// kSimdMinAutoRelations; otherwise the resolved request (simd/dispatch.h).
+/// and for kAuto where the model's filter does not engage (a model
+/// without a complete filter for this pass's instrumentation, or a problem
+/// below the filter's minimum size); otherwise the resolved request
+/// (simd/dispatch.h).
 SimdLevel EffectivePassSimdLevel(const OptimizerOptions& options,
                                  int num_relations);
 

@@ -56,16 +56,37 @@ inline constexpr double kDnlMemoryBlocks = 100.0;   // M
 // programming table").
 // ---------------------------------------------------------------------------
 
-// Models additionally declare kSplitGateTight: whether kappa'' = 0, which
-// makes the model-independent operand gate of the best-split loop
-//     cost[lhs] + cost[rhs] < best
-// the *complete* cost comparison. The SIMD batch filter (simd/
-// split_filter.h) evaluates exactly that gate, so for tight models it
-// prunes to the true improvements and pays for itself; for models with a
-// large split-dependent kappa'' the gate passes nearly every split (best
-// tracks dpnd = oprnd + kappa'' minima, far above the operand sums) and
-// batching is pure overhead. Auto dispatch consults this trait; explicit
-// --simd= / BLITZ_SIMD requests override it (core/optimizer.cc).
+// Models additionally declare two traits for the SIMD best-split filter
+// (simd/split_filter.h, DESIGN.md section 9):
+//
+//   kSplitGateTight — kappa'' = 0, which makes the model-independent
+//     operand gate of the best-split loop
+//         cost[lhs] + cost[rhs] < best
+//     the *complete* cost comparison. The operand filter then prunes to
+//     the true improvements on every pass, counting passes included. For
+//     models with a large split-dependent kappa'' the operand gate passes
+//     nearly every split (best tracks dpnd = oprnd + kappa'' minima, far
+//     above the operand sums), so batching it alone is pure overhead.
+//   kSplitBound — what the filter evaluates on passes that count nothing
+//     (NoInstrumentation):
+//       kOperand   the operand gate only (complete for gate-tight models);
+//       kSeparable the whole split cost, KappaDoublePrime being exactly
+//                  lhs_aux + rhs_aux (requires kNeedsAux);
+//       kDnl       the whole split cost, KappaDoublePrime being exactly
+//                  kappa_dnl's expression below.
+//     The kappa_sm lanes repeat KappaDoublePrime's IEEE operations, so
+//     that filter is exact; the kappa_dnl vector lanes bracket it within
+//     a slack of 12 double ulps (kDnlBracket* in simd/split_filter.h).
+//     Either way a lane is dismissed only when its split cannot beat the
+//     live best. Counting and profiling passes keep the operand gate,
+//     whose survivors define the Section 3.3 counters.
+//
+// Auto dispatch consults both (core/optimizer.cc ResolvePassSimd);
+// explicit --simd= / BLITZ_SIMD requests override the policy.
+
+/// What the SIMD split filter evaluates for a model on production passes
+/// (see kSplitBound above).
+enum class SplitBound { kOperand, kSeparable, kDnl };
 
 /// kappa_0(R_out, R_lhs, R_rhs) = |R_out|. Decomposes as kappa' = |R_out|,
 /// kappa'' = 0.
@@ -73,6 +94,7 @@ struct NaiveCostModel {
   static constexpr CostModelKind kKind = CostModelKind::kNaive;
   static constexpr bool kNeedsAux = false;
   static constexpr bool kSplitGateTight = true;
+  static constexpr SplitBound kSplitBound = SplitBound::kOperand;
 
   static double Aux(double) { return 0.0; }
 
@@ -96,6 +118,7 @@ struct SortMergeCostModel {
   static constexpr CostModelKind kKind = CostModelKind::kSortMerge;
   static constexpr bool kNeedsAux = true;
   static constexpr bool kSplitGateTight = false;
+  static constexpr SplitBound kSplitBound = SplitBound::kSeparable;
 
   static double Aux(double card) {
     const double x = std::max(card, 1.0);
@@ -118,6 +141,7 @@ struct DiskNestedLoopsCostModel {
   static constexpr CostModelKind kKind = CostModelKind::kDiskNestedLoops;
   static constexpr bool kNeedsAux = false;
   static constexpr bool kSplitGateTight = false;
+  static constexpr SplitBound kSplitBound = SplitBound::kDnl;
 
   static double Aux(double) { return 0.0; }
 
@@ -125,12 +149,19 @@ struct DiskNestedLoopsCostModel {
     return 2.0 * out_card / blocking_factor;
   }
 
+  /// The SIMD whole-cost filter repeats this expression lane-wise,
+  /// operation for operation (simd/split_filter.h SplitFilterDnlFn);
+  /// change both together.
   double KappaDoublePrime(double /*out_card*/, double lhs_card,
                           double rhs_card, double /*lhs_aux*/,
                           double /*rhs_aux*/) const {
-    return lhs_card * rhs_card /
-               (blocking_factor * blocking_factor * (memory_blocks - 1.0)) +
+    return lhs_card * rhs_card / KappaDivisor() +
            std::min(lhs_card, rhs_card) / blocking_factor;
+  }
+
+  /// K^2 (M - 1), the divisor of the |R_lhs||R_rhs| term.
+  double KappaDivisor() const {
+    return blocking_factor * blocking_factor * (memory_blocks - 1.0);
   }
 
   double blocking_factor = kDnlBlockingFactor;
@@ -146,6 +177,7 @@ struct MinSmDnlCostModel {
   static constexpr CostModelKind kKind = CostModelKind::kMinSmDnl;
   static constexpr bool kNeedsAux = true;
   static constexpr bool kSplitGateTight = false;
+  static constexpr SplitBound kSplitBound = SplitBound::kOperand;
 
   static double Aux(double card) { return SortMergeCostModel::Aux(card); }
 
@@ -174,6 +206,7 @@ struct HashCostModel {
   static constexpr CostModelKind kKind = CostModelKind::kHash;
   static constexpr bool kNeedsAux = false;
   static constexpr bool kSplitGateTight = false;
+  static constexpr SplitBound kSplitBound = SplitBound::kOperand;
 
   static double Aux(double) { return 0.0; }
 
@@ -193,6 +226,7 @@ struct MinAllCostModel {
   static constexpr CostModelKind kKind = CostModelKind::kMinAll;
   static constexpr bool kNeedsAux = true;
   static constexpr bool kSplitGateTight = false;
+  static constexpr SplitBound kSplitBound = SplitBound::kOperand;
 
   static double Aux(double card) { return SortMergeCostModel::Aux(card); }
 

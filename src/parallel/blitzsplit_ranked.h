@@ -112,8 +112,10 @@ struct alignas(64) PaddedInstr {
 /// sequential driver and all thread counts share one kernel choice and the
 /// bit-identity contract above is unchanged. The kernel's dense-compaction
 /// build stage writes its scratch, so each chunk slot gets a private
-/// SplitScratch (threads x 2^n x 8 bytes, allocated once per pass and only
-/// when a kernel is active).
+/// SplitScratch (threads x 2^n x 8 bytes, 16 under a whole-cost filter,
+/// allocated once per pass and only when a kernel is active). Its dense
+/// columns are rebuilt per subset from the shared DP table, so workers
+/// share no filter state.
 ///
 /// Requirements and the `cards` contract are those of RunBlitzSplit (every
 /// CardSource), plus options.EffectiveThreads() >= 1. This is the one
@@ -158,14 +160,9 @@ BLITZ_NOINLINE float RunBlitzSplitRanked(const CostModel& model,
   // One dense-compaction scratch per chunk slot: the build stage writes
   // it, so workers cannot share. Slot 0 doubles as the inline-rank scratch
   // (inline ranks run between barriers, never concurrently with workers).
-  std::vector<SplitScratch> scratches;
-  if constexpr (kNestedIfs) {
-    if (split_kernel != nullptr && n >= kSimdMinPopcount) {
-      scratches.resize(static_cast<std::size_t>(threads));
-      for (SplitScratch& sc : scratches) sc.EnsureCapacity(n);
-    }
-  }
-  if (scratches.empty()) split_kernel = nullptr;
+  std::vector<SplitScratch> scratches(static_cast<std::size_t>(threads));
+  split_kernel = internal::PrepareSplitScratch<CostModel, kNestedIfs, Instr>(
+      split_kernel, n, &scratches);
 
   const auto process = [&](std::uint64_t s, Instr* i, SplitScratch* sc) {
     internal::BlitzProcessSubset<CostModel, kCards, kNestedIfs>(

@@ -95,12 +95,16 @@ SimdResolution ResolveSimdLevelDetailed(SimdLevel requested) {
 }
 
 namespace {
-constexpr SplitKernel kKernelPortable{&SplitBuildDensePortable,
-                                      &SplitFilterDensePortable};
-constexpr SplitKernel kKernelAvx2{&SplitBuildDenseAvx2,
-                                  &SplitFilterDenseAvx2};
-constexpr SplitKernel kKernelAvx512{&SplitBuildDenseAvx512,
-                                    &SplitFilterDenseAvx512};
+constexpr SplitKernel kKernelPortable{
+    &SplitBuildDensePortable, &SplitFilterDensePortable,
+    &SplitGatherDensePortable, &SplitFilterSmPortable,
+    &SplitFilterDnlPortable};
+constexpr SplitKernel kKernelAvx2{&SplitBuildDenseAvx2, &SplitFilterDenseAvx2,
+                                  &SplitGatherDenseAvx2, &SplitFilterSmAvx2,
+                                  &SplitFilterDnlAvx2};
+constexpr SplitKernel kKernelAvx512{
+    &SplitBuildDenseAvx512, &SplitFilterDenseAvx512, &SplitGatherDenseAvx512,
+    &SplitFilterSmAvx512, &SplitFilterDnlAvx512};
 }  // namespace
 
 const SplitKernel* GetSplitKernel(SimdLevel resolved) {

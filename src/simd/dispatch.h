@@ -48,9 +48,10 @@ SimdLevel ResolveSimdLevel(SimdLevel requested);
 /// ResolveSimdLevel plus provenance: `from_auto` is true when the level
 /// came from the cpuid probe because neither the request nor BLITZ_SIMD
 /// supplied an explicit level. Auto-chosen levels are subject to the
-/// per-cost-model refinement in core/optimizer.cc (the batched kernel
-/// only pays off where the operand gate is tight — see
-/// CostModel::kSplitGateTight); explicit requests are always honored.
+/// per-cost-model refinement in core/optimizer.cc (the batched kernel only
+/// pays off where its filter is the complete cost comparison — see
+/// CostModel::kSplitGateTight and kSplitBound); explicit requests are
+/// always honored.
 struct SimdResolution {
   SimdLevel level;
   bool from_auto;
@@ -58,12 +59,20 @@ struct SimdResolution {
 SimdResolution ResolveSimdLevelDetailed(SimdLevel requested);
 
 /// Minimum problem size (relations) for an *auto*-chosen level to engage
-/// the batched kernel. Below this the dense-compaction build cost and the
-/// per-subset setup outweigh the filter's win — BENCH_fig2.json measured
-/// 0.72-0.98x at n = 5-11 for the gate-tight naive model, crossing over at
-/// n = 12 — so auto falls back to the classic loop. Explicit requests
-/// (--simd=, BLITZ_SIMD) are exempt, keeping every combination measurable.
+/// the batched kernel, per filter. Below these the dense-compaction build
+/// cost and the per-subset setup outweigh the filter's win, so auto falls
+/// back to the classic loop. Explicit requests (--simd=, BLITZ_SIMD) are
+/// exempt, keeping every combination measurable.
+///
+/// The operand gate of a gate-tight model (naive): BENCH_fig2.json
+/// measured 0.88-1.04x at n = 5-11 and 1.27x at n = 12.
 inline constexpr int kSimdMinAutoRelations = 12;
+/// The whole-cost filters of kappa_sm and kappa_dnl on passes that count
+/// nothing: BENCH_fig2.json measured sm 0.76-1.03x at n = 5-11 and
+/// 1.07-1.22x from n = 12, dnl 0.95-1.13x at n = 5-9 and 1.26-1.61x from
+/// n = 10.
+inline constexpr int kSimdMinAutoRelationsSortMerge = 12;
+inline constexpr int kSimdMinAutoRelationsDnl = 10;
 
 /// The dense-compaction build/filter pair for a *resolved* level, or
 /// nullptr for kScalar — the drivers treat a null kernel as "run the

@@ -97,6 +97,129 @@ std::uint64_t SplitFilterDenseAvx2(const float* dc, std::uint32_t full_rank,
   return mask;
 }
 
+void SplitGatherDenseAvx2(const double* col, const std::uint32_t* idx,
+                          std::uint32_t total, double* dx) {
+  // Masked gather with an explicit zero source and all-ones mask: GCC 12
+  // flags the unmasked form's undefined pass-through as maybe-uninitialized.
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  std::uint32_t r = 0;
+  for (; r + 4 <= total; r += 4) {
+    if (r + 64 < total) _mm_prefetch(
+        reinterpret_cast<const char*>(col + idx[r + 64]), _MM_HINT_T1);
+    const __m128i vi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + r));
+    _mm256_storeu_pd(dx + r, _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
+                                                      col, vi, all, 8));
+  }
+  for (; r < total; ++r) dx[r] = col[idx[r]];
+}
+
+namespace {
+
+/// The minimum of the 8 lanes of v, broadcast to every lane.
+__m256 MinBroadcast(__m256 v) {
+  v = _mm256_min_ps(v, _mm256_permute2f128_ps(v, v, 0x01));
+  v = _mm256_min_ps(v, _mm256_permute_ps(v, 0x4E));
+  return _mm256_min_ps(v, _mm256_permute_ps(v, 0xB1));
+}
+
+/// The whole-cost filter body shared by kappa_sm and kappa_dnl: eight
+/// lanes per step. `kappa2(l, r, &lo, &hi)` brackets the scalar loop's
+/// double kappa'' of four lanes (lo <= kappa'' <= hi; equal when the lanes
+/// compute it exactly), so dpnd_lo <= dpnd <= dpnd_hi. A lane survives iff
+/// dpnd_lo is below the threshold: best, lowered by the dpnd_hi of every
+/// lane of the earlier steps (simd/split_filter.h). The lane-wise running
+/// minimum vmin is the only loop-carried chain; its horizontal minimum
+/// feeds the next step's compare off that chain.
+template <typename Kappa2, typename TailFn>
+std::uint64_t FilterWholeCost(const float* dc, const double* dx,
+                              std::uint32_t full_rank, std::uint32_t r0,
+                              int count, float best, Kappa2 kappa2,
+                              TailFn tail) {
+  const __m256i vrev = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+  __m256 vmin = _mm256_set1_ps(best);
+  std::uint64_t mask = 0;
+  int i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const std::uint32_t r = r0 + static_cast<std::uint32_t>(i);
+    // Lane j's complement is rank full_rank - r - j: the 8 floats at
+    // c = full_rank - r - 7 reversed, and for the doubles the 4 at c + 4
+    // (lanes 0-3) and the 4 at c (lanes 4-7), each reversed.
+    const std::uint32_t c = full_rank - r - 7;
+    const __m256 oprnd = _mm256_add_ps(
+        _mm256_loadu_ps(dc + r),
+        _mm256_permutevar8x32_ps(_mm256_loadu_ps(dc + c), vrev));
+    __m256d lo0, hi0, lo1, hi1;
+    kappa2(_mm256_loadu_pd(dx + r),
+           _mm256_permute4x64_pd(_mm256_loadu_pd(dx + c + 4), 0x1B), &lo0,
+           &hi0);
+    kappa2(_mm256_loadu_pd(dx + r + 4),
+           _mm256_permute4x64_pd(_mm256_loadu_pd(dx + c), 0x1B), &lo1,
+           &hi1);
+    const __m256 dpnd_lo = _mm256_add_ps(
+        oprnd, _mm256_set_m128(_mm256_cvtpd_ps(lo1), _mm256_cvtpd_ps(lo0)));
+    const __m256 dpnd_hi = _mm256_add_ps(
+        oprnd, _mm256_set_m128(_mm256_cvtpd_ps(hi1), _mm256_cvtpd_ps(hi0)));
+    // Ordered compare: NaN lanes never survive. min(dpnd, thr) returns
+    // thr for a NaN dpnd, so NaN never lowers a threshold either.
+    const __m256 lt = _mm256_cmp_ps(dpnd_lo, MinBroadcast(vmin), _CMP_LT_OQ);
+    vmin = _mm256_min_ps(dpnd_hi, vmin);
+    mask |= static_cast<std::uint64_t>(
+                static_cast<std::uint32_t>(_mm256_movemask_ps(lt)))
+            << i;
+  }
+  if (i < count) {
+    mask |= tail(r0 + static_cast<std::uint32_t>(i), count - i,
+                 _mm256_cvtss_f32(MinBroadcast(vmin)))
+            << i;
+  }
+  return mask;
+}
+
+}  // namespace
+
+std::uint64_t SplitFilterSmAvx2(const float* dc, const double* dx,
+                                std::uint32_t full_rank, std::uint32_t r0,
+                                int count, float best) {
+  return FilterWholeCost(
+      dc, dx, full_rank, r0, count, best,
+      [](__m256d l, __m256d r, __m256d* lo, __m256d* hi) {
+        *lo = *hi = _mm256_add_pd(l, r);  // Exact: the scalar's one add.
+      },
+      [&](std::uint32_t tail_r0, int tail_count, float tail_best) {
+        return SplitFilterSmPortable(dc, dx, full_rank, tail_r0, tail_count,
+                                     tail_best);
+      });
+}
+
+std::uint64_t SplitFilterDnlAvx2(const float* dc, const double* dx,
+                                 std::uint32_t full_rank, std::uint32_t r0,
+                                 int count, float best, double divisor,
+                                 double blocking_factor) {
+  const __m256d vinv_divisor = _mm256_set1_pd(1.0 / divisor);
+  const __m256d vinv_blocking = _mm256_set1_pd(1.0 / blocking_factor);
+  const __m256d vdown = _mm256_set1_pd(kDnlBracketDown);
+  const __m256d vup = _mm256_set1_pd(kDnlBracketUp);
+  const __m256d vabs = _mm256_set1_pd(kDnlBracketAbs);
+  return FilterWholeCost(
+      dc, dx, full_rank, r0, count, best,
+      [&](__m256d l, __m256d r, __m256d* lo, __m256d* hi) {
+        // Reciprocal products instead of the scalar's two divisions, each
+        // widened to a bracket of the correctly rounded quotient (no FMA in
+        // this TU: the separate roundings stay inside the bracket).
+        const __m256d q = _mm256_mul_pd(_mm256_mul_pd(l, r), vinv_divisor);
+        const __m256d t = _mm256_mul_pd(_mm256_min_pd(l, r), vinv_blocking);
+        *lo = _mm256_add_pd(_mm256_sub_pd(_mm256_mul_pd(q, vdown), vabs),
+                            _mm256_sub_pd(_mm256_mul_pd(t, vdown), vabs));
+        *hi = _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(q, vup), vabs),
+                            _mm256_add_pd(_mm256_mul_pd(t, vup), vabs));
+      },
+      [&](std::uint32_t tail_r0, int tail_count, float tail_best) {
+        return SplitFilterDnlPortable(dc, dx, full_rank, tail_r0, tail_count,
+                                      tail_best, divisor, blocking_factor);
+      });
+}
+
 #else  // !defined(__AVX2__)
 
 bool SplitFilterAvx2Compiled() { return false; }
@@ -109,6 +232,25 @@ void SplitBuildDenseAvx2(const float* cost, std::uint64_t s, int k,
 std::uint64_t SplitFilterDenseAvx2(const float* dc, std::uint32_t full_rank,
                                    std::uint32_t r0, int count, float best) {
   return SplitFilterDensePortable(dc, full_rank, r0, count, best);
+}
+
+void SplitGatherDenseAvx2(const double* col, const std::uint32_t* idx,
+                          std::uint32_t total, double* dx) {
+  SplitGatherDensePortable(col, idx, total, dx);
+}
+
+std::uint64_t SplitFilterSmAvx2(const float* dc, const double* dx,
+                                std::uint32_t full_rank, std::uint32_t r0,
+                                int count, float best) {
+  return SplitFilterSmPortable(dc, dx, full_rank, r0, count, best);
+}
+
+std::uint64_t SplitFilterDnlAvx2(const float* dc, const double* dx,
+                                 std::uint32_t full_rank, std::uint32_t r0,
+                                 int count, float best, double divisor,
+                                 double blocking_factor) {
+  return SplitFilterDnlPortable(dc, dx, full_rank, r0, count, best, divisor,
+                                blocking_factor);
 }
 
 #endif  // defined(__AVX2__)

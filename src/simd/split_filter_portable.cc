@@ -1,5 +1,7 @@
 #include "simd/split_filter.h"
 
+#include <algorithm>
+
 #if defined(__GNUC__) || defined(__clang__)
 #define BLITZ_SIMD_PREFETCH(addr) __builtin_prefetch((addr), 0, 1)
 #else
@@ -56,6 +58,59 @@ std::uint64_t SplitFilterDensePortable(const float* dc,
     const std::uint32_t r = r0 + static_cast<std::uint32_t>(i);
     mask |= static_cast<std::uint64_t>(dc[r] + dc[full_rank - r] < best)
             << i;
+  }
+  return mask;
+}
+
+void SplitGatherDensePortable(const double* col, const std::uint32_t* idx,
+                              std::uint32_t total, double* dx) {
+  constexpr std::uint32_t kAhead = 16;
+  for (std::uint32_t r = 0; r < total; ++r) {
+    if (r + kAhead < total) BLITZ_SIMD_PREFETCH(col + idx[r + kAhead]);
+    dx[r] = col[idx[r]];
+  }
+}
+
+// The portable whole-cost filters run the threshold lane by lane: each
+// lane compares against min(best, every earlier lane's dpnd), so their
+// survivors are exactly the splits the replay will take. The expressions
+// are the scalar loop's, operation for operation (simd/split_filter.h).
+
+std::uint64_t SplitFilterSmPortable(const float* dc, const double* dx,
+                                    std::uint32_t full_rank,
+                                    std::uint32_t r0, int count,
+                                    float best) {
+  std::uint64_t mask = 0;
+  for (int i = 0; i < count; ++i) {
+    const std::uint32_t r = r0 + static_cast<std::uint32_t>(i);
+    const std::uint32_t c = full_rank - r;
+    const float oprnd = dc[r] + dc[c];
+    const float dpnd = oprnd + static_cast<float>(dx[r] + dx[c]);
+    if (dpnd < best) {
+      best = dpnd;
+      mask |= std::uint64_t{1} << i;
+    }
+  }
+  return mask;
+}
+
+std::uint64_t SplitFilterDnlPortable(const float* dc, const double* dx,
+                                     std::uint32_t full_rank,
+                                     std::uint32_t r0, int count, float best,
+                                     double divisor,
+                                     double blocking_factor) {
+  std::uint64_t mask = 0;
+  for (int i = 0; i < count; ++i) {
+    const std::uint32_t r = r0 + static_cast<std::uint32_t>(i);
+    const std::uint32_t c = full_rank - r;
+    const float oprnd = dc[r] + dc[c];
+    const double kappa2 =
+        dx[r] * dx[c] / divisor + std::min(dx[r], dx[c]) / blocking_factor;
+    const float dpnd = oprnd + static_cast<float>(kappa2);
+    if (dpnd < best) {
+      best = dpnd;
+      mask |= std::uint64_t{1} << i;
+    }
   }
   return mask;
 }

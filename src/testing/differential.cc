@@ -228,29 +228,41 @@ CaseVerdict RunDifferentialCase(const FuzzCase& c,
 
   // The (threads x simd) grid: every combination must reproduce `base` —
   // the same model and estimator at one thread, scalar — bit for bit, with
-  // identical folded counters. False (with the verdict filled) on failure.
+  // identical folded counters. Each combination runs twice: counting, and
+  // counting nothing — the production path, where kappa_sm and kappa_dnl
+  // filter on the whole split cost instead of the operand gate (so the
+  // second run of the one-thread scalar combination is checked too). False
+  // (with the verdict filled) on failure.
   const auto grid_matches = [&](CostModelKind model,
                                 const CardinalityEstimator* estimator,
                                 const OptimizeOutcome& base,
                                 const std::string& extra) {
     for (const int threads : options.thread_counts) {
       for (const SimdLevel simd : options.simd_levels) {
-        if (threads == 1 && simd == SimdLevel::kScalar) continue;
-        const std::string config =
-            ConfigName(model, threads, simd, extra.c_str());
-        OptimizerOptions grid_options = MakeOptions(model, threads, simd);
-        grid_options.estimator = estimator;
-        Result<OptimizeOutcome> outcome =
-            OptimizeJoin(c.catalog, c.graph, grid_options);
-        if (!outcome.ok()) {
-          fail(config, "run failed: " + outcome.status().ToString());
-          return false;
-        }
-        OracleVerdict v = TablesBitIdentical(outcome->table, base.table);
-        if (v.ok) v = CountersIdentical(outcome->counters, base.counters);
-        if (!v.ok) {
-          fail(config, v.message);
-          return false;
+        for (const bool counting : {true, false}) {
+          if (counting && threads == 1 && simd == SimdLevel::kScalar) {
+            continue;  // `base` itself.
+          }
+          const std::string config = ConfigName(
+              model, threads, simd,
+              (extra + (counting ? "" : " uncounted")).c_str());
+          OptimizerOptions grid_options = MakeOptions(model, threads, simd);
+          grid_options.estimator = estimator;
+          grid_options.count_operations = counting;
+          Result<OptimizeOutcome> outcome =
+              OptimizeJoin(c.catalog, c.graph, grid_options);
+          if (!outcome.ok()) {
+            fail(config, "run failed: " + outcome.status().ToString());
+            return false;
+          }
+          OracleVerdict v = TablesBitIdentical(outcome->table, base.table);
+          if (v.ok && counting) {
+            v = CountersIdentical(outcome->counters, base.counters);
+          }
+          if (!v.ok) {
+            fail(config, v.message);
+            return false;
+          }
         }
       }
     }

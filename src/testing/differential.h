@@ -12,10 +12,11 @@
 namespace blitz::fuzz {
 
 /// The configuration cross-product one case is driven through. The
-/// reference configuration (scalar kernel, one thread, no threshold) is
-/// always run per cost model; every other (threads x simd) combination must
-/// fill a bit-identical DP table, and the threshold ladder must land on the
-/// bit-identical root cost.
+/// reference configuration (scalar kernel, one thread, no threshold,
+/// counting) is always run per cost model; every (threads x simd)
+/// combination, counting and not, must fill a bit-identical DP table
+/// (counting runs with identical counters too), and the threshold ladder
+/// must land on the bit-identical root cost.
 struct DifferentialOptions {
   std::vector<CostModelKind> cost_models = {CostModelKind::kNaive,
                                             CostModelKind::kSortMerge,

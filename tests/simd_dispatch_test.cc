@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/dp_table.h"
+#include "cost/cost_model.h"
 #include "simd/dispatch.h"
 #include "simd/split_filter.h"
 #include "test_util.h"
@@ -128,14 +129,23 @@ TEST(SimdDispatchTest, KernelLookupMatchesLevel) {
   ASSERT_NE(portable, nullptr);
   EXPECT_EQ(portable->build, &SplitBuildDensePortable);
   EXPECT_EQ(portable->filter, &SplitFilterDensePortable);
+  EXPECT_EQ(portable->gather, &SplitGatherDensePortable);
+  EXPECT_EQ(portable->filter_sm, &SplitFilterSmPortable);
+  EXPECT_EQ(portable->filter_dnl, &SplitFilterDnlPortable);
   const SplitKernel* avx2 = GetSplitKernel(SimdLevel::kAvx2);
   ASSERT_NE(avx2, nullptr);
   EXPECT_EQ(avx2->build, &SplitBuildDenseAvx2);
   EXPECT_EQ(avx2->filter, &SplitFilterDenseAvx2);
+  EXPECT_EQ(avx2->gather, &SplitGatherDenseAvx2);
+  EXPECT_EQ(avx2->filter_sm, &SplitFilterSmAvx2);
+  EXPECT_EQ(avx2->filter_dnl, &SplitFilterDnlAvx2);
   const SplitKernel* avx512 = GetSplitKernel(SimdLevel::kAvx512);
   ASSERT_NE(avx512, nullptr);
   EXPECT_EQ(avx512->build, &SplitBuildDenseAvx512);
   EXPECT_EQ(avx512->filter, &SplitFilterDenseAvx512);
+  EXPECT_EQ(avx512->gather, &SplitGatherDenseAvx512);
+  EXPECT_EQ(avx512->filter_sm, &SplitFilterSmAvx512);
+  EXPECT_EQ(avx512->filter_dnl, &SplitFilterDnlAvx512);
 }
 
 /// Skips a test when a kernel level's instruction set is unavailable
@@ -160,6 +170,16 @@ class KernelDenseTest : public ::testing::Test {
       // A spread of magnitudes plus rejected rows, as a real DP table has.
       cost_[i] = (i % 7 == 0) ? kRejectedCost
                               : static_cast<float>((i * 37) % 101);
+    }
+    // The double column the whole-cost filters read (aux or card): exact
+    // repeats (ties), fractions, magnitudes up to the float overflow band,
+    // and a few +inf rows.
+    col_.resize(cost_.size());
+    for (std::size_t i = 0; i < col_.size(); ++i) {
+      col_[i] = (i % 11 == 0)  ? 1.0
+                : (i % 13 == 0) ? 1e19 * static_cast<double>(i)
+                : (i % 29 == 0) ? kRejectedCost
+                                : static_cast<double>((i * 53) % 97) / 3.0;
     }
   }
 
@@ -232,6 +252,81 @@ class KernelDenseTest : public ::testing::Test {
     }
   }
 
+  /// The scalar loop's dpnd of rank r, operation for operation.
+  static float ScalarDpnd(const std::vector<float>& dc,
+                          const std::vector<double>& dx, std::uint32_t r,
+                          std::uint32_t c, bool dnl) {
+    const DiskNestedLoopsCostModel model;
+    const SortMergeCostModel sm;
+    const double kappa2 =
+        dnl ? model.KappaDoublePrime(0, dx[r], dx[c], 0, 0)
+            : sm.KappaDoublePrime(0, 0, 0, dx[r], dx[c]);
+    const float oprnd = dc[r] + dc[c];
+    return oprnd + static_cast<float>(kappa2);
+  }
+
+  /// Checks the gather stage and the whole-cost filters: every lane that
+  /// would improve in sequential replay (dpnd below best and every earlier
+  /// lane's dpnd) must survive, and no lane whose dpnd exceeds best (or is
+  /// NaN) may — nor, for kappa_sm, whose dpnd ties it. The portable
+  /// realization runs the threshold lane by lane, so its mask is exactly
+  /// the improving lanes.
+  void CheckWholeCost(const SplitKernel* kernel, const char* name,
+                      bool exact) {
+    const DiskNestedLoopsCostModel model;
+    for (const std::uint64_t s :
+         {std::uint64_t{0x1B7}, std::uint64_t{0x1FF}, std::uint64_t{0x0FC}}) {
+      const int k = std::popcount(s);
+      const std::uint32_t full_rank = (std::uint32_t{1} << k) - 1;
+      const std::size_t rows = std::size_t{1} << k;
+      std::vector<std::uint32_t> idx(rows);
+      std::vector<float> dc(rows);
+      std::vector<double> dx(rows, -1.0);
+      kernel->build(cost_.data(), s, k, idx.data(), dc.data());
+      kernel->gather(col_.data(), idx.data(), full_rank + 1, dx.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(dx[r], col_[idx[r]]) << name << " s=" << s << " r=" << r;
+      }
+      for (const bool dnl : {false, true}) {
+        for (const float best : {kRejectedCost, 1e30f, 150.0f, 60.0f, 2.0f}) {
+          for (std::uint32_t r0 = 1; r0 < full_rank;
+               r0 += static_cast<std::uint32_t>(kSplitFilterBlock)) {
+            const int count = static_cast<int>(
+                std::min<std::uint32_t>(kSplitFilterBlock, full_rank - r0));
+            const std::uint64_t got =
+                dnl ? kernel->filter_dnl(dc.data(), dx.data(), full_rank, r0,
+                                         count, best, model.KappaDivisor(),
+                                         model.blocking_factor)
+                    : kernel->filter_sm(dc.data(), dx.data(), full_rank, r0,
+                                        count, best);
+            std::uint64_t required = 0;
+            std::uint64_t allowed = 0;
+            float live = best;
+            for (int i = 0; i < count; ++i) {
+              const std::uint32_t r = r0 + static_cast<std::uint32_t>(i);
+              const float dpnd = ScalarDpnd(dc, dx, r, full_rank - r, dnl);
+              if (dpnd < live) {
+                live = dpnd;
+                required |= std::uint64_t{1} << i;
+              }
+              if (dpnd < best || (dnl && dpnd == best)) {
+                allowed |= std::uint64_t{1} << i;
+              }
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << name << (dnl ? " dnl" : " sm") << " s=" << s
+                         << " r0=" << r0 << " best=" << best);
+            EXPECT_EQ(got & required, required);
+            EXPECT_EQ(got & ~allowed, 0u);
+            if (exact) {
+              EXPECT_EQ(got, required);
+            }
+          }
+        }
+      }
+    }
+  }
+
   static std::uint64_t ReferenceMask(const std::vector<float>& dc,
                                      std::uint32_t full_rank,
                                      std::uint32_t r0, int count,
@@ -245,6 +340,7 @@ class KernelDenseTest : public ::testing::Test {
   }
 
   std::vector<float> cost_;
+  std::vector<double> col_;
 };
 
 TEST_F(KernelDenseTest, PortableBuildMatchesSuccessorOrder) {
@@ -253,6 +349,11 @@ TEST_F(KernelDenseTest, PortableBuildMatchesSuccessorOrder) {
 
 TEST_F(KernelDenseTest, PortableFilterMatchesReference) {
   CheckFilter(GetSplitKernel(SimdLevel::kBlock), "portable");
+}
+
+TEST_F(KernelDenseTest, PortableWholeCostFiltersAreExact) {
+  CheckWholeCost(GetSplitKernel(SimdLevel::kBlock), "portable",
+                 /*exact=*/true);
 }
 
 TEST_F(KernelDenseTest, Avx2MatchesReference) {
@@ -264,6 +365,7 @@ TEST_F(KernelDenseTest, Avx2MatchesReference) {
   }
   CheckBuild(GetSplitKernel(SimdLevel::kAvx2), "avx2");
   CheckFilter(GetSplitKernel(SimdLevel::kAvx2), "avx2");
+  CheckWholeCost(GetSplitKernel(SimdLevel::kAvx2), "avx2", /*exact=*/false);
 }
 
 TEST_F(KernelDenseTest, Avx512MatchesReference) {
@@ -275,6 +377,8 @@ TEST_F(KernelDenseTest, Avx512MatchesReference) {
   }
   CheckBuild(GetSplitKernel(SimdLevel::kAvx512), "avx512");
   CheckFilter(GetSplitKernel(SimdLevel::kAvx512), "avx512");
+  CheckWholeCost(GetSplitKernel(SimdLevel::kAvx512), "avx512",
+                 /*exact=*/false);
 }
 
 TEST_F(KernelDenseTest, RejectedLanesNeverSurvive) {
